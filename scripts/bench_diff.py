@@ -36,10 +36,7 @@ behaviour change, not jitter:
     ratio, so an approximate local store cannot silently trade recall
     for speed;
   * scanned entries per subquery must not grow by more than
-    --flagship-scan-threshold (default 50%) — compared only when the
-    baseline and current runs used the same "local_store" backend
-    (the scan profile is backend-specific; a deliberate backend switch
-    prints a skip note instead).
+    --flagship-scan-threshold (default 50%).
 
 The flagship gates are scale-matched: when the current run's "scale"
 section differs from the baseline's (e.g. an LMK_FULL run against the
@@ -235,22 +232,13 @@ def check_flagship(args, gate):
         print("bench_diff: flagship recall missing (floor skipped)")
 
     # --- scanned/subquery ceiling (per-node solve work) ---
-    # Only comparable when both runs used the same LocalStore backend:
-    # an intentional backend switch changes this number by design.
-    base_store = base.get("local_store")
-    cur_store = cur.get("local_store")
     base_scan = fnum(base, "scanned_per_subquery", args.flagship_baseline)
     cur_scan = fnum(cur, "scanned_per_subquery", args.flagship)
-    if base_store != cur_store:
-        print(f"bench_diff: flagship scanned/subquery gate skipped — "
-              f"local_store differs (baseline {base_store!r}, current "
-              f"{cur_store!r}); the scan profile is backend-specific")
-    elif base_scan > 0 and cur_scan > 0:
+    if base_scan > 0 and cur_scan > 0:
         growth = cur_scan / base_scan
         ceil = 1.0 + args.flagship_scan_threshold
         print(f"bench_diff: flagship scanned/subquery {cur_scan:.1f} vs "
-              f"baseline {base_scan:.1f} ({growth:.2f}x, backend "
-              f"{cur_store!r})")
+              f"baseline {base_scan:.1f} ({growth:.2f}x)")
         if growth > ceil:
             gate(f"flagship scanned/subquery grew {growth:.2f}x over "
                  f"baseline (ceiling {ceil:.2f}x) — deterministic work "
@@ -454,7 +442,7 @@ def main():
                          "sampled-oracle mean)")
     ap.add_argument("--flagship-scan-threshold", type=float, default=0.50,
                     help="allowed fractional growth of flagship scanned "
-                         "entries per subquery (same-backend runs only)")
+                         "entries per subquery")
     ap.add_argument("--serve-hit-floor", type=float, default=0.30,
                     help="minimum serve cache hit rate on the flagship "
                          "efficiency rung (LMK_FLAGSHIP_SERVE runs)")

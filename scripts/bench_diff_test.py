@@ -32,7 +32,7 @@ def perf_doc(alloc=None):
     return doc
 
 
-def flagship_doc(recall=0.95, scanned=70.0, store="sorted", serve=None):
+def flagship_doc(recall=0.95, scanned=70.0, serve=None):
     """A minimal well-formed BENCH_flagship.json document."""
     doc = {
         "scale": {"nodes": 256, "objects": 20000},
@@ -41,7 +41,6 @@ def flagship_doc(recall=0.95, scanned=70.0, store="sorted", serve=None):
             "memory": {"arena_high_water": 1000000},
             "wire": {"total_bytes": 5000000.0},
             "recall": {"sampled": 25, "mean": recall},
-            "local_store": store,
             "scanned_per_subquery": scanned,
         },
     }
@@ -200,22 +199,11 @@ class BenchDiffTest(unittest.TestCase):
                                  "0.5")
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
 
-    def test_flagship_scan_ceiling_fails_same_backend(self):
+    def test_flagship_scan_ceiling_fails(self):
         base = self.write("fbase.json", flagship_doc(scanned=70.0))
         cur = self.write("fcur.json", flagship_doc(scanned=700.0))
         proc = self.run_flagship(base, cur)
         self.assert_readable_failure(proc, "scanned/subquery grew")
-
-    def test_flagship_scan_ceiling_skipped_on_backend_switch(self):
-        # Ten times the scan volume, but on a different backend: the
-        # profile is not comparable, so the gate must skip with a note
-        # instead of failing.
-        base = self.write("fbase.json", flagship_doc(scanned=70.0))
-        cur = self.write("fcur.json",
-                         flagship_doc(scanned=700.0, store="hnsw"))
-        proc = self.run_flagship(base, cur)
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        self.assertIn("local_store differs", proc.stdout)
 
     def test_flagship_gates_skip_on_scale_mismatch(self):
         base = self.write("fbase.json", flagship_doc())

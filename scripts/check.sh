@@ -19,8 +19,7 @@
 #                                       #   5. ASan, UBSan, TSan builds + ctest
 #                                       #   6. alloc-guard leg (below)
 #                                       #   7. sched smoke (below)
-#                                       #   8. store smoke (below)
-#                                       #   9. serve smoke (below)
+#                                       #   8. serve smoke (below)
 #   scripts/check.sh --alloc-guard [--warn-only]
 #                                       # allocation-discipline leg: build
 #                                       # with -DLMK_ALLOC_GUARD=ON and
@@ -50,15 +49,6 @@
 #                                       # arena high-water, and bytes on the
 #                                       # wire against the committed
 #                                       # bench/BENCH_flagship.baseline.json
-#   scripts/check.sh --store-smoke      # local-store ablation gate: run
-#                                       # bench_ablation_localstore at smoke
-#                                       # scale with LMK_THREADS=1 and =8,
-#                                       # byte-compare the deterministic JSON
-#                                       # sections, then re-run under
-#                                       # LMK_ABL_ENFORCE=1 (HNSW and pivot
-#                                       # must cut scanned/subquery >= 5x vs
-#                                       # sorted, HNSW recall-vs-exact >=
-#                                       # 0.95, pivot exact id-for-id)
 #   scripts/check.sh --serve-smoke [--warn-only]
 #                                       # serving-layer gate: bench_flagship
 #                                       # with LMK_FLAGSHIP_SERVE=1 and
@@ -242,33 +232,6 @@ run_serve_smoke() {
     --flagship build-check/BENCH_flagship.serve.json "$@"
 }
 
-run_store_smoke() {
-  echo "== check.sh: store smoke (local-store ablation gate) =="
-  cmake -B build-check -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DLMK_WERROR=ON >/dev/null
-  cmake --build build-check -j"$(nproc)" \
-    --target bench_ablation_localstore >/dev/null
-  # Backend determinism: the per-backend deterministic section (scan
-  # counters, recalls, store bytes, rebuild counters) must be
-  # byte-identical at any thread count, for all three backends at once.
-  LMK_THREADS=1 \
-    LMK_ABL_OUT=build-check/BENCH_ablation_localstore.t1.json \
-    LMK_ABL_DET_OUT=build-check/localstore_det.t1.json \
-    ./build-check/bench/bench_ablation_localstore
-  LMK_THREADS=8 \
-    LMK_ABL_OUT=build-check/BENCH_ablation_localstore.t8.json \
-    LMK_ABL_DET_OUT=build-check/localstore_det.t8.json \
-    ./build-check/bench/bench_ablation_localstore >/dev/null
-  cmp build-check/localstore_det.t1.json build-check/localstore_det.t8.json
-  echo "store smoke: deterministic section byte-identical at 1 and 8 threads"
-  # Enforced run: sub-linear reductions and the HNSW recall floor. The
-  # pivot id-for-id exactness cross-check is always on inside the bench.
-  LMK_ABL_ENFORCE=1 \
-    LMK_ABL_OUT=build-check/BENCH_ablation_localstore.json \
-    ./build-check/bench/bench_ablation_localstore >/dev/null
-  echo "store smoke: enforce gates passed (reductions + recall + exactness)"
-}
-
 run_alloc_guard() {
   echo "== check.sh: alloc-guard leg (LMK_ALLOC_GUARD + LMK_ARENA_GUARD) =="
   # Own build directory: the interposed allocator and the checked arena
@@ -315,12 +278,6 @@ if [ "${1:-}" = "--sched-smoke" ]; then
   exit 0
 fi
 
-if [ "${1:-}" = "--store-smoke" ]; then
-  run_store_smoke
-  echo "check.sh: OK (store smoke)"
-  exit 0
-fi
-
 if [ "${1:-}" = "--serve-smoke" ]; then
   shift
   run_serve_smoke "$@"
@@ -344,10 +301,9 @@ if [ "${1:-}" = "--all" ]; then
   done
   run_alloc_guard
   run_sched_smoke
-  run_store_smoke
   run_serve_smoke
   echo "check.sh: OK (--all: lint + tidy + plain + audit + asan/ubsan/tsan" \
-       "+ alloc-guard + sched-smoke + store-smoke + serve-smoke," \
+       "+ alloc-guard + sched-smoke + serve-smoke," \
        "LMK_THREADS=$LMK_THREADS)"
   exit 0
 fi

@@ -40,16 +40,8 @@ void IndexPlatform::set_serve_options(const ServeOptions& opts) {
   router_.set_coalesce_window(opts.coalesce_window);
 }
 
-
 std::uint32_t IndexPlatform::register_scheme(const std::string& name,
                                              Boundary boundary, bool rotate) {
-  return register_scheme(name, std::move(boundary), rotate,
-                         LocalStoreOptions::from_env());
-}
-
-std::uint32_t IndexPlatform::register_scheme(
-    const std::string& name, Boundary boundary, bool rotate,
-    const LocalStoreOptions& store_opts) {
   LMK_CHECK(!boundary.empty());
   auto scheme = std::make_unique<SchemeRouting>();
   scheme->scheme_id = static_cast<std::uint32_t>(schemes_.size());
@@ -58,15 +50,28 @@ std::uint32_t IndexPlatform::register_scheme(
   scheme->query_message_bytes = query_message_size(scheme->boundary.size());
   schemes_.push_back(std::move(scheme));
   scheme_names_.push_back(name);
-  scheme_store_opts_.push_back(store_opts);
   // Existing stores grow a slot for the new scheme lazily via entries().
   return schemes_.back()->scheme_id;
 }
 
 const LocalStoreOptions& IndexPlatform::local_store_options(
     std::uint32_t id) const {
-  LMK_CHECK(id < scheme_store_opts_.size());
-  return scheme_store_opts_[id];
+  LMK_CHECK(id < schemes_.size());
+  static constexpr LocalStoreOptions kOptions{};
+  return kOptions;
+}
+
+LocalStoreBuildStats IndexPlatform::local_store_stats() const {
+  LocalStoreBuildStats total;
+  // Integer sums over disjoint stores: commutative, order-free.
+  // lmk-lint: iteration-order-independent
+  for (const auto& [node, store] : stores_) {
+    for (const auto& ss : store.per_scheme) {
+      total.rebuilds += ss.local.stats().rebuilds;
+      total.rebuilt_entries += ss.local.stats().rebuilt_entries;
+    }
+  }
+  return total;
 }
 
 void IndexPlatform::update_scheme_boundary(std::uint32_t id,
@@ -103,21 +108,18 @@ IndexPlatform::SchemeStore& IndexPlatform::scheme_store(const ChordNode& n,
 
 EntryStore& IndexPlatform::entries(const ChordNode& n, std::uint32_t scheme) {
   SchemeStore& ss = scheme_store(n, scheme);
-  ++ss.version;  // the caller may mutate; order indices rebuild lazily
+  ss.local.invalidate();  // the caller may mutate
   return ss.entries;
 }
 
-void IndexPlatform::ensure_local_store(SchemeStore& ss,
-                                       std::uint32_t scheme) {
-  if (ss.local == nullptr) {
-    ss.local = make_local_store(local_store_options(scheme));
-    ss.indexed_version = ~std::uint64_t{0};
-  }
-  if (ss.indexed_version == ss.version) return;
-  ss.local->build(ss.entries);
-  ss.indexed_version = ss.version;
-  ++local_store_stats_.rebuilds;
-  local_store_stats_.rebuilt_entries += ss.entries.size();
+bool IndexPlatform::erase_entry(const ChordNode& n, std::uint32_t scheme,
+                                std::uint64_t object, Id key,
+                                const IndexPoint& point) {
+  SchemeStore& ss = scheme_store(n, scheme);
+  if (!ss.entries.erase_first(object, key)) return false;
+  ss.local.invalidate();
+  serve_invalidate(n, scheme, point);
+  return true;
 }
 
 std::vector<ChordNode*> IndexPlatform::replica_nodes(Id key) const {
@@ -241,10 +243,7 @@ bool IndexPlatform::remove(std::uint32_t scheme_id, std::uint64_t object,
   Id key = lph_hash(point, sch.boundary) + sch.rotation;
   bool removed = false;
   for (ChordNode* node : replica_nodes(key)) {
-    if (entries(*node, scheme_id).erase_first(object, key)) {
-      removed = true;
-      serve_invalidate(*node, scheme_id, point);
-    }
+    removed |= erase_entry(*node, scheme_id, object, key, point);
   }
   return removed;
 }
@@ -261,10 +260,7 @@ void IndexPlatform::remove_via_network(
         (void)owner;  // replica_nodes(key) starts at the owner
         bool removed = false;
         for (ChordNode* replica : replica_nodes(key)) {
-          if (entries(*replica, scheme_id).erase_first(object, key)) {
-            removed = true;
-            serve_invalidate(*replica, scheme_id, point);
-          }
+          removed |= erase_entry(*replica, scheme_id, object, key, point);
         }
         if (done) done(removed, hops);
       });
@@ -278,7 +274,7 @@ void IndexPlatform::clear_scheme(std::uint32_t scheme_id) {
     if (scheme_id < store.per_scheme.size()) {
       SchemeStore& ss = store.per_scheme[scheme_id];
       ss.entries.clear();
-      ++ss.version;
+      ss.local.invalidate();
       serve_wipe(*node, scheme_id);
     }
   }
@@ -481,12 +477,11 @@ void IndexPlatform::solve_subquery(const RangeQuery& q, ChordNode& node) {
   // by true metric distance when the query carries a ranking function
   // (distributed refinement), else by the contractive L-inf lower bound.
   //
-  // The probe itself is delegated to the scheme's LocalStore backend
-  // (sorted order indices, HNSW graph, or pivot table — see src/store/).
-  // Every backend surfaces hits in a deterministic order that is a pure
-  // function of store contents, and the reply assembly downstream sorts
-  // and dedups by (object, score), so results stay byte-identical per
-  // backend at any thread count.
+  // The probe itself is delegated to the node's LocalStore (see
+  // src/store/), which surfaces hits in ascending entry index whether it
+  // probes its order indices or scans stale rows; the reply assembly
+  // downstream sorts and dedups by (object, score) anyway, so results
+  // stay byte-identical at any thread count.
   PendingReply& reply = pending_replies_[q.qid][&node];
   if (!reply.pooled) {
     // Fresh (query, node) reply: back its scored buffer with a pooled
@@ -510,18 +505,17 @@ void IndexPlatform::solve_subquery(const RangeQuery& q, ChordNode& node) {
       // sharing a focus. The store is never probed: scanned += 0.
       cache_hit = true;
       if (serve_->options().verify_hits) {
-        // Oracle cross-check (LMK_SERVE_VERIFY): re-solve and compare
-        // id sets. Sound for the exact backends (sorted, pivot); an
-        // approximate HNSW re-solve can legitimately differ after
-        // non-covering rebuilds.
-        SchemeStore& ss = scheme_store(node, aq.scheme);
-        ensure_local_store(ss, aq.scheme);
-        verify_hits_.clear();
-        ss.local->range(ss.entries, q.region, verify_hits_);
+        // Oracle cross-check (LMK_SERVE_VERIFY): a brute-force scan of
+        // the node's rows must find exactly the cached ids. The scan
+        // bypasses the LocalStore so verifying never moves its rebuild
+        // schedule.
+        const EntryStore& es = scheme_store(node, aq.scheme).entries;
         verify_objs_.clear();
-        verify_objs_.reserve(verify_hits_.size());
-        for (const std::uint32_t ei : verify_hits_) {
-          verify_objs_.push_back(ss.entries.object(ei));
+        verify_objs_.reserve(es.size());
+        for (std::size_t i = 0; i < es.size(); ++i) {
+          if (linf_box_distance(es.point(i), q.region) == 0.0) {
+            verify_objs_.push_back(es.object(i));
+          }
         }
         std::sort(verify_objs_.begin(), verify_objs_.end());
         cache_objs_.assign(cobjs.begin(), cobjs.end());
@@ -545,9 +539,8 @@ void IndexPlatform::solve_subquery(const RangeQuery& q, ChordNode& node) {
   }
   if (!cache_hit) {
     SchemeStore& ss = scheme_store(node, aq.scheme);
-    ensure_local_store(ss, aq.scheme);
     solve_hits_.clear();
-    aq.outcome.scanned += ss.local->range(ss.entries, q.region, solve_hits_);
+    aq.outcome.scanned += ss.local.range(ss.entries, q.region, solve_hits_);
     for (const std::uint32_t ei : solve_hits_) {
       std::span<const double> pt = ss.entries.point(ei);
       ++evaluated;
@@ -712,8 +705,8 @@ void IndexPlatform::drain_all(ChordNode& from, ChordNode& to) {
   NodeStore& dst = store_of(to);
   for (std::size_t s = 0; s < src.per_scheme.size(); ++s) {
     dst.per_scheme[s].entries.append_moved(src.per_scheme[s].entries);
-    ++src.per_scheme[s].version;
-    ++dst.per_scheme[s].version;
+    src.per_scheme[s].local.invalidate();
+    dst.per_scheme[s].local.invalidate();
     // Bulk move: per-point cover tests would scan everything anyway,
     // so both ends' caches are wiped wholesale.
     serve_wipe(from, static_cast<std::uint32_t>(s));
@@ -728,8 +721,8 @@ void IndexPlatform::transfer_owned(ChordNode& from, ChordNode& to) {
   NodeStore& src = store_of(from);
   NodeStore& dst = store_of(to);
   for (std::size_t s = 0; s < src.per_scheme.size(); ++s) {
-    ++src.per_scheme[s].version;
-    ++dst.per_scheme[s].version;
+    src.per_scheme[s].local.invalidate();
+    dst.per_scheme[s].local.invalidate();
     serve_wipe(from, static_cast<std::uint32_t>(s));
     serve_wipe(to, static_cast<std::uint32_t>(s));
     // Stable extraction: entries `to` now owns move over in store
@@ -818,8 +811,7 @@ std::uint64_t IndexPlatform::store_bytes() const {
   // lmk-lint: iteration-order-independent
   for (const auto& [node, store] : stores_) {
     for (const auto& ss : store.per_scheme) {
-      total += ss.entries.memory_bytes();
-      if (ss.local != nullptr) total += ss.local->memory_bytes();
+      total += ss.entries.memory_bytes() + ss.local.memory_bytes();
     }
   }
   return total;
@@ -907,7 +899,7 @@ void IndexPlatform::repair_replication() {
       // Dead stores are purged either way: their copies are lost, and a
       // node reviving later must not resurrect stale data.
       store.per_scheme[sc].entries.clear();
-      ++store.per_scheme[sc].version;
+      store.per_scheme[sc].local.invalidate();
       serve_wipe(*node, static_cast<std::uint32_t>(sc));
     }
   }

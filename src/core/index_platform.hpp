@@ -83,10 +83,10 @@ class IndexPlatform {
     std::uint64_t candidates = 0;
     std::uint64_t max_node_candidates = 0;
     /// Stored entries *examined* across all local solves (the per-node
-    /// scan cost). With the sorted-store candidate ranges this is the
-    /// number of entries inside the chosen dimension's range, not the
-    /// node's whole store — the online-path pruning the perf bench
-    /// regresses against.
+    /// scan cost). A fresh local store examines only the entries inside
+    /// its most selective dimension's range, not the node's whole store
+    /// — the online-path pruning the perf bench regresses against; a
+    /// stale one scans every row (src/store/local_store.hpp).
     std::uint64_t scanned = 0;
     int lost_subqueries = 0;     ///< dropped by churn (0 in steady state)
     /// Serving-layer accounting (0 with the serving tier off): subquery
@@ -113,17 +113,9 @@ class IndexPlatform {
   // ----- scheme registry -----
 
   /// Register an index scheme; returns its id. `rotate` applies the
-  /// static space-mapping rotation φ = hash(name) (§3.4). The scheme's
-  /// per-node local stores use the process default backend
-  /// (LocalStoreOptions::from_env, i.e. the LMK_LOCAL_STORE knob).
+  /// static space-mapping rotation φ = hash(name) (§3.4).
   std::uint32_t register_scheme(const std::string& name, Boundary boundary,
                                 bool rotate);
-
-  /// Register with explicit per-scheme local-store configuration
-  /// (overrides the LMK_LOCAL_STORE process default).
-  std::uint32_t register_scheme(const std::string& name, Boundary boundary,
-                                bool rotate,
-                                const LocalStoreOptions& store_opts);
 
   /// Replace a scheme's index-space boundary (same dimensionality) —
   /// part of re-indexing against a refreshed landmark set. The scheme's
@@ -214,28 +206,28 @@ class IndexPlatform {
 
   // ----- memory accounting -----
 
-  /// Resident heap bytes of all entry stores plus their local index
-  /// structures — order indices, HNSW adjacency, or pivot tables,
-  /// whichever backend each scheme runs (the payload the flagship bench
-  /// reports).
+  /// Resident heap bytes of all entry stores plus their local stores'
+  /// order indices (the payload the flagship bench reports).
   [[nodiscard]] std::uint64_t store_bytes() const;
 
   // ----- local stores -----
 
-  /// The local-store configuration scheme `id` was registered with.
+  /// The local-store configuration of scheme `id`. There are no knobs:
+  /// every scheme runs the one store. This and local_store_name remain
+  /// for perfbench/program.hpp and the flagship JSON.
   [[nodiscard]] const LocalStoreOptions& local_store_options(
       std::uint32_t id) const;
 
-  /// Backend name ("sorted" / "hnsw" / "pivot") for scheme `id`.
+  /// Name of scheme `id`'s local store, for logs and JSON.
   [[nodiscard]] const char* local_store_name(std::uint32_t id) const {
-    return local_store_kind_name(local_store_options(id).kind);
+    (void)local_store_options(id);
+    return "sorted";
   }
 
-  /// Cumulative local-store (re)build counters across all nodes and
-  /// schemes — migration/rotation churn shows up as extra rebuilds.
-  [[nodiscard]] const LocalStoreBuildStats& local_store_stats() const {
-    return local_store_stats_;
-  }
+  /// Cumulative local-store builds across all nodes and schemes: only
+  /// builds actually performed count, so churn shows up as extra
+  /// rebuilds once the probes after it have paid for them.
+  [[nodiscard]] LocalStoreBuildStats local_store_stats() const;
 
   /// Counters of the in-flight reply-buffer pool (one buffer per
   /// (query, node) reply under construction).
@@ -326,19 +318,14 @@ class IndexPlatform {
   void repair_replication();
 
  private:
-  /// One scheme's entries on one node, plus a lazily rebuilt LocalStore
-  /// (sorted order indices, HNSW graph, or pivot table — per-scheme
-  /// config). on_solve probes the LocalStore instead of scanning the
-  /// whole store. Mutations just bump `version`; the structure is
-  /// rebuilt on the first solve that finds it stale (stores churn in
-  /// bursts between query batches, so one rebuild amortizes over the
-  /// whole batch — this is also what keeps migration/rotation working
-  /// unchanged across every backend).
+  /// One scheme's entries on one node, plus the LocalStore indexing
+  /// them. on_solve probes the LocalStore instead of scanning the whole
+  /// store. Every writer invalidates it; the store then decides when a
+  /// rebuild has paid for itself (see src/store/local_store.hpp), which
+  /// is also what keeps migration and rotation working unchanged.
   struct SchemeStore {
     EntryStore entries;
-    std::unique_ptr<LocalStore> local;
-    std::uint64_t version = 0;
-    std::uint64_t indexed_version = ~std::uint64_t{0};
+    LocalStore local;
   };
   struct NodeStore {
     std::vector<SchemeStore> per_scheme;
@@ -383,12 +370,13 @@ class IndexPlatform {
   [[nodiscard]] std::vector<ChordNode*> replica_nodes(Id key) const;
   NodeStore& store_of(const ChordNode& n);
   SchemeStore& scheme_store(const ChordNode& n, std::uint32_t scheme);
-  /// Mutable entry store; bumps the store version so the local store
-  /// rebuilds before the next solve. All writers must come through here.
+  /// Mutable entry store; invalidates the local store. All writers must
+  /// come through here, or invalidate it themselves.
   EntryStore& entries(const ChordNode& n, std::uint32_t scheme);
-  /// Instantiate the scheme's configured backend on first use and
-  /// rebuild it if the entry store mutated since the last probe.
-  void ensure_local_store(SchemeStore& ss, std::uint32_t scheme);
+  /// Erase one copy of (object, key) from `n`'s store. Only a successful
+  /// erase invalidates the local store and the result cache.
+  bool erase_entry(const ChordNode& n, std::uint32_t scheme,
+                   std::uint64_t object, Id key, const IndexPoint& point);
   /// Serving-tier dispatcher: admission control and queueing in front
   /// of the actual solve. With the tier off it is a tail call into
   /// solve_subquery — byte-identical to the pre-serve behavior.
@@ -419,8 +407,6 @@ class IndexPlatform {
   Options opts_;
   std::vector<std::unique_ptr<SchemeRouting>> schemes_;
   std::vector<std::string> scheme_names_;
-  std::vector<LocalStoreOptions> scheme_store_opts_;  // parallel to schemes_
-  LocalStoreBuildStats local_store_stats_;
   /// on_solve scratch: entry indices the local store surfaced for the
   /// current subquery. One buffer suffices — solves never nest.
   std::vector<std::uint32_t> solve_hits_;
@@ -446,7 +432,6 @@ class IndexPlatform {
   /// current solve's hits) and for LMK_SERVE_VERIFY re-solves.
   std::vector<std::uint64_t> cache_objs_;
   std::vector<double> cache_coords_;
-  std::vector<std::uint32_t> verify_hits_;
   std::vector<std::uint64_t> verify_objs_;
   /// Recycles the scored-candidate buffers of in-flight replies: one
   /// acquire per (query, node) reply, released when the reply ships.

@@ -36,23 +36,12 @@ class LandmarkIndex {
   using ObjectFn = std::function<const Point&(std::uint64_t)>;
 
   /// Registers a scheme named `name` on `platform`; `rotate` enables the
-  /// static space-mapping rotation. Per-node local stores use the
-  /// process default backend (the LMK_LOCAL_STORE knob).
+  /// static space-mapping rotation.
   LandmarkIndex(IndexPlatform& platform, const S& space,
                 LandmarkMapper<S> mapper, const std::string& name,
                 bool rotate = false)
       : platform_(&platform), space_(&space), mapper_(std::move(mapper)) {
     scheme_ = platform_->register_scheme(name, mapper_.boundary(), rotate);
-  }
-
-  /// As above with explicit per-scheme local-store configuration
-  /// (backend kind and tuning), overriding the process default.
-  LandmarkIndex(IndexPlatform& platform, const S& space,
-                LandmarkMapper<S> mapper, const std::string& name,
-                bool rotate, const LocalStoreOptions& store_opts)
-      : platform_(&platform), space_(&space), mapper_(std::move(mapper)) {
-    scheme_ = platform_->register_scheme(name, mapper_.boundary(), rotate,
-                                         store_opts);
   }
 
   [[nodiscard]] std::uint32_t scheme_id() const { return scheme_; }

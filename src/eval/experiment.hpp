@@ -34,10 +34,6 @@ struct ExperimentConfig {
   int probe_level = 4;               ///< balancing probing level P_l
   RoutingMode routing = RoutingMode::kTree;
   int naive_split_depth = 10;        ///< client decomposition (naive mode)
-  /// Per-node local store backend (sorted / hnsw / pivot) and tuning.
-  /// Defaults to the LMK_LOCAL_STORE process knob; benches set it
-  /// explicitly to run backend ablation cells side by side.
-  LocalStoreOptions local_store = LocalStoreOptions::from_env();
 };
 
 /// A delay-space topology built once and shared read-only across
@@ -127,7 +123,7 @@ class SimilarityExperiment {
     platform_ = std::make_unique<IndexPlatform>(*ring_, popts);
     index_ = std::make_unique<LandmarkIndex<S>>(*platform_, space_,
                                                 std::move(mapper), scheme_name,
-                                                cfg.rotate, cfg.local_store);
+                                                cfg.rotate);
     index_->bind_objects([this](std::uint64_t id) -> const Point& {
       return (*dataset_)[static_cast<std::size_t>(id)];
     });

@@ -86,8 +86,7 @@ void clamp_region(Region& region, const Boundary& boundary);
 [[nodiscard]] Region query_region(const IndexPoint& center, double radius);
 
 /// L∞ distance from `point` to the axis-aligned box (0 for any point
-/// inside it, closed-interval semantics). Shared by the HNSW box-guided
-/// range beam (src/store/hnsw_store.cpp) and the serving layer's
+/// inside it, closed-interval semantics). Used by the serving layer's
 /// coverage-based cache invalidation (src/serve/): a mutated entry
 /// whose point is at distance 0 from a cached query region covers it,
 /// so the cached hit-list must be dropped.

@@ -5,8 +5,8 @@
 //
 // Correctness model: a cached hit-list is valid exactly as long as no
 // entry whose point *covers* the cached region (L∞ point-to-box
-// distance zero — the same predicate the HNSW range beam ranks by) has
-// been inserted into or removed from the node since the fill. Every
+// distance zero, i.e. the point lies inside the region) has been
+// inserted into or removed from the node since the fill. Every
 // mutation path in IndexPlatform therefore either reports the affected
 // points (`invalidate_point`) or, for bulk moves where per-point
 // reporting would cost more than refilling (drain, transfer, scheme

@@ -1,36 +1,32 @@
-// Per-node local index abstraction. Each (node, scheme) pair owns an
-// EntryStore (the SoA rows) plus a LocalStore: an index structure over
-// those rows that answers the solver's box/knn probes without a full
-// scan. Backends trade exactness, build cost, and memory:
+// Per-node local store. Each (node, scheme) pair owns an EntryStore (the
+// SoA rows) plus a LocalStore: per-dimension sorted order indices over
+// those rows that answer the solver's box probes (paper Alg. 5) without
+// a full scan. Exact: a probe returns every entry inside the closed
+// region and nothing else.
 //
-//   kSorted  exact        per-dimension sorted order indices; binary-search
-//                         the most selective dimension and walk its slice
-//                         (the pre-PR-9 solver behaviour, re-homed).
-//   kHnsw    approximate  hierarchical navigable small world graph over the
-//                         index points (L-inf metric); sub-linear descent,
-//                         recall governed by ef_search.
-//   kPivot   exact        LAESA-style pivot table; triangle-inequality
-//                         lower bounds from precomputed pivot distances
-//                         prune candidates before any coordinate is read.
+// Rebuild rule. The first build is eager: a store that was never built
+// builds on its first probe. A mutation (`invalidate`) leaves the indices
+// stale and zeroes a charge; each probe then scans the n rows linearly,
+// reports `scanned = n` and adds n to the charge. The first probe that
+// finds the charge at or above n * dims * ceil(log2(n + 1)) — the sort a
+// rebuild takes — rebuilds the indices and probes them. This is ski
+// rental between two writes: the scans since the last write are the
+// rent, the sort is the purchase, and the cost is never more than twice
+// the better of scanning throughout and rebuilding at once. A store
+// written between most probes keeps scanning instead of re-sorting on
+// every write; a store that settles goes sub-linear again after one
+// rebuild's worth of scans.
 //
-// Determinism contract (all backends): given the same EntryStore contents
-// and options, `build` produces the same structure and `range`/`knn` emit
-// the same indices in the same order, independent of LMK_THREADS, node
-// identity, and insertion history. HNSW pins its randomness to the stored
-// object ids (level = f(seed, object)), so a migrated entry rebuilds at
-// the same level on its new owner.
-//
-// Mutation protocol: LocalStore never observes mutations directly. The
-// platform bumps a version counter on every EntryStore writer and lazily
-// calls `build` again before the next probe (rebuild-on-migrate); between
-// builds the structure may be arbitrarily stale and must not be probed.
+// Determinism contract: both the scan and the indexed probe append hits
+// in ascending entry index, so results are a pure function of the rows
+// and the region — independent of the store's build history, of
+// LMK_THREADS and of node identity.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
-#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/entry_store.hpp"
@@ -38,91 +34,61 @@
 
 namespace lmk {
 
-enum class LocalStoreKind : std::uint8_t { kSorted, kHnsw, kPivot };
+/// Local-store configuration. The one store has no knobs; the type and
+/// make_local_store remain only because perfbench/program.hpp still
+/// passes a configuration through them.
+struct LocalStoreOptions {};
 
-/// Stable lower-case name ("sorted" / "hnsw" / "pivot") for logs and JSON.
-[[nodiscard]] const char* local_store_kind_name(LocalStoreKind kind);
-
-/// Parse a backend name as accepted by LMK_LOCAL_STORE. Returns false
-/// (and leaves `out` untouched) for unknown names.
-[[nodiscard]] bool parse_local_store_kind(std::string_view name,
-                                          LocalStoreKind* out);
-
-/// Per-scheme backend selection and tuning knobs. Defaults come from the
-/// environment (LMK_LOCAL_STORE) so whole-process experiments can switch
-/// backend without a recompile; explicit per-scheme options win.
-struct LocalStoreOptions {
-  LocalStoreKind kind = LocalStoreKind::kSorted;
-
-  // HNSW: max neighbours per layer (layer 0 gets 2*m), and the candidate
-  // beam widths for construction and search.
-  std::size_t hnsw_m = 8;
-  std::size_t hnsw_ef_construction = 64;
-  std::size_t hnsw_ef_search = 64;
-
-  // Pivot table: number of pivots (capped by the store size at build).
-  std::size_t pivots = 8;
-
-  // Base seed for determinism-pinned randomness (HNSW level assignment).
-  // Mixed with the stored object id, never with the entry position.
-  std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
-
-  /// Defaults with `kind` overridden by LMK_LOCAL_STORE when set.
-  /// Aborts on an unknown backend name (configuration error).
-  [[nodiscard]] static LocalStoreOptions from_env();
-};
-
-/// Cumulative (re)build accounting, aggregated platform-wide: how many
-/// times any per-(node, scheme) structure was built and how many entries
-/// those builds indexed. Migration and rotation churn shows up here.
+/// Cumulative build accounting: how many times the order indices were
+/// built and how many entries those builds indexed.
 struct LocalStoreBuildStats {
   std::uint64_t rebuilds = 0;
   std::uint64_t rebuilt_entries = 0;
 };
 
-/// Index structure over one EntryStore. Probes report `scanned` — the
-/// number of stored entries whose coordinates were examined — so callers
-/// can account pruning effectiveness uniformly across backends.
+/// Sorted order indices over one EntryStore, with the deferred rebuild
+/// rule above. Probes report `scanned` — the number of stored entries
+/// whose coordinates were examined.
 class LocalStore {
  public:
-  LocalStore() = default;
-  LocalStore(const LocalStore&) = delete;
-  LocalStore& operator=(const LocalStore&) = delete;
-  virtual ~LocalStore() = default;
+  /// Index the store's current rows now and reset the charge. Reads
+  /// coordinates through EntryStore spans only; leaves the structure
+  /// probe-ready even for an empty store.
+  void build(const EntryStore& entries);
 
-  [[nodiscard]] virtual LocalStoreKind kind() const = 0;
-  [[nodiscard]] const char* name() const {
-    return local_store_kind_name(kind());
+  /// The rows changed: probes scan until the scans since this call have
+  /// paid for a rebuild. A never-built store stays unbuilt.
+  void invalidate() {
+    stale_ = built_;
+    charge_ = 0;
   }
 
-  /// True when `range` returns exactly the entries inside the region.
-  /// Approximate backends (HNSW) may miss matches but never invent them.
-  [[nodiscard]] virtual bool exact() const = 0;
-
-  /// (Re)index the store's current rows. Reads coordinates through
-  /// EntryStore spans only; must leave the structure probe-ready even for
-  /// an empty store. Scratch buffers are reserved here so probes run
-  /// allocation-free at steady state.
-  virtual void build(const EntryStore& entries) = 0;
-
   /// Append the indices of entries whose point lies in the closed region
-  /// to `out` (not cleared) in a deterministic backend-specific order.
-  /// Returns the number of entries scanned.
-  virtual std::size_t range(const EntryStore& entries, const Region& region,
-                            std::vector<std::uint32_t>& out) = 0;
+  /// to `out` (not cleared), in ascending entry index. Builds first when
+  /// the store was never built or the rebuild rule fires. Returns the
+  /// number of entries scanned.
+  std::size_t range(const EntryStore& entries, const Region& region,
+                    std::vector<std::uint32_t>& out);
 
-  /// Append the indices of (up to) the k entries nearest `focus` under the
-  /// index-space L-inf metric, ordered by (distance, entry index), to
-  /// `out` (not cleared). Returns the number of entries scanned.
-  virtual std::size_t knn(const EntryStore& entries,
-                          std::span<const double> focus, std::size_t k,
-                          std::vector<std::uint32_t>& out) = 0;
+  /// Builds this store performed (eager and deferred).
+  [[nodiscard]] const LocalStoreBuildStats& stats() const { return stats_; }
 
-  /// Resident heap bytes of the index structure (excluding the EntryStore).
-  [[nodiscard]] virtual std::size_t memory_bytes() const = 0;
+  /// Resident heap bytes of the order indices (excluding the EntryStore).
+  [[nodiscard]] std::size_t memory_bytes() const;
+
+ private:
+  // order_[d] holds (coordinate d, entry index) sorted ascending; the
+  // pair order breaks value ties by entry index, so the scan order — and
+  // therefore the whole simulation — is independent of the sort
+  // algorithm's handling of equal values.
+  std::vector<std::vector<std::pair<double, std::uint32_t>>> order_;
+  LocalStoreBuildStats stats_;
+  std::uint64_t charge_ = 0;  ///< entries scanned since the last invalidate
+  bool built_ = false;
+  bool stale_ = false;
 };
 
-/// Instantiate the backend selected by `opts.kind`.
+/// A fresh, unbuilt store.
 [[nodiscard]] std::unique_ptr<LocalStore> make_local_store(
     const LocalStoreOptions& opts);
 

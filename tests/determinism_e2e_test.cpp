@@ -3,13 +3,16 @@
 // runs (DESIGN.md "Correctness tooling"). This test drives a small but
 // complete scenario — protocol joins on a latency topology, bulk and
 // networked indexing, tree- and naive-routed range queries in both
-// reply modes — twice from the same seed in fresh processes' worth of
-// state, and asserts the per-query hop counts, result sets, timings and
-// byte counts are identical. Any wall-clock read, unseeded draw, or
+// reply modes interleaved with networked inserts and removes (so local
+// stores are probed stale and rebuilt on a deferred schedule) — twice
+// from the same seed in fresh processes' worth of state, and asserts the
+// per-query hop counts, result sets, timings, scan and byte counts are
+// identical. Any wall-clock read, unseeded draw, or
 // unordered-container iteration order leaking into a result-affecting
 // path shows up here as a diff.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -25,14 +28,21 @@ struct QueryTrace {
   std::uint64_t query_bytes = 0;
   std::uint64_t result_bytes = 0;
   std::uint64_t candidates = 0;
+  std::uint64_t scanned = 0;
   std::vector<std::uint64_t> results;  // merged ids, arrival order
 
   bool operator==(const QueryTrace&) const = default;
 };
 
+constexpr int kQueries = 60;
+constexpr std::uint64_t kNodes = 28;
+
 struct RunTrace {
   std::vector<QueryTrace> queries;
   std::vector<int> insert_hops;
+  std::vector<int> mutation_hops;  // interleaved inserts and removes
+  std::vector<bool> removed;
+  std::uint64_t rebuilds = 0;
   std::uint64_t events = 0;
   std::uint64_t total_bytes = 0;
 
@@ -104,10 +114,13 @@ RunTrace run_scenario(std::uint64_t seed, RoutingMode routing) {
   platform.repair_replication();
   platform.check_placement_invariant();
 
-  // Range queries from random origins, alternating reply modes.
+  // Range queries from random origins, alternating reply modes. Each is
+  // followed by a networked insert and a removal of a bulk-loaded
+  // object, so stores mutate after their first probe.
   Rng query_rng = rng.fork();
-  trace.queries.resize(20);
-  for (int qi = 0; qi < 20; ++qi) {
+  Rng mutate_rng = rng.fork();
+  trace.queries.resize(kQueries);
+  for (int qi = 0; qi < kQueries; ++qi) {
     IndexPoint center;
     for (int d = 0; d < 3; ++d) center.push_back(query_rng.uniform());
     double radius = 0.05 + 0.15 * query_rng.uniform();
@@ -124,11 +137,28 @@ RunTrace run_scenario(std::uint64_t seed, RoutingMode routing) {
           q.query_bytes = o.query_bytes;
           q.result_bytes = o.result_bytes;
           q.candidates = o.candidates;
+          q.scanned = o.scanned;
           q.results = o.results;
+        });
+    sim.run();
+
+    IndexPoint p;
+    for (int d = 0; d < 3; ++d) p.push_back(mutate_rng.uniform());
+    platform.insert_via_network(
+        *nodes[mutate_rng.below(nodes.size())], scheme,
+        static_cast<std::uint64_t>(2000 + qi), std::move(p),
+        [&trace](int hops) { trace.mutation_hops.push_back(hops); });
+    const std::size_t victim = mutate_rng.below(points.size());
+    platform.remove_via_network(
+        *nodes[mutate_rng.below(nodes.size())], scheme, victim,
+        points[victim], [&trace](bool removed, int hops) {
+          trace.removed.push_back(removed);
+          trace.mutation_hops.push_back(hops);
         });
     sim.run();
   }
 
+  trace.rebuilds = platform.local_store_stats().rebuilds;
   trace.events = sim.events_executed();
   trace.total_bytes = net.total_traffic().bytes;
   return trace;
@@ -167,6 +197,15 @@ TEST(DeterminismE2E, QueriesReturnedSomething) {
   }
   EXPECT_GT(nonempty, a.queries.size() / 2);
   EXPECT_EQ(a.insert_hops.size(), 40u);
+}
+
+TEST(DeterminismE2E, MutationsReachStaleScansAndDeferredRebuilds) {
+  RunTrace a = run_scenario(0xfeedbeef, RoutingMode::kTree);
+  EXPECT_EQ(a.mutation_hops.size(), 2u * kQueries);
+  EXPECT_GT(std::count(a.removed.begin(), a.removed.end(), true), 0);
+  // Each of the kNodes stores builds eagerly at most once; every build
+  // beyond that is a deferred rebuild, paid for by stale scans.
+  EXPECT_GT(a.rebuilds, kNodes);
 }
 
 }  // namespace

@@ -1,33 +1,20 @@
-// LocalStore backends: conformance suite shared by all three backends
-// (containment, determinism, rebuild semantics), pivot-table exactness
-// as a property over random mutation traces (including the migration
-// extract_if path), HNSW recall and determinism pins, and the
-// platform's rebuild-on-mutation accounting.
+// LocalStore: brute-force conformance in all three states a store can be
+// probed in (fresh build, stale scanning, amortized rebuild), exactness
+// over random mutation traces with probes between mutations, the probe
+// on which the deferred rebuild fires, ascending hit order, and the
+// platform's build accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
-#include <optional>
-#include <set>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/index_platform.hpp"
-#include "store/hnsw_store.hpp"
 #include "store/local_store.hpp"
 
 namespace lmk {
 namespace {
-
-constexpr LocalStoreKind kAllKinds[] = {
-    LocalStoreKind::kSorted, LocalStoreKind::kHnsw, LocalStoreKind::kPivot};
-
-LocalStoreOptions options_for(LocalStoreKind kind) {
-  LocalStoreOptions opts;
-  opts.kind = kind;
-  return opts;
-}
 
 EntryStore random_store(Rng& rng, std::size_t n, std::size_t dims) {
   EntryStore s;
@@ -48,68 +35,79 @@ Region random_region(Rng& rng, std::size_t dims, double width) {
   return r;
 }
 
-bool inside(std::span<const double> pt, const Region& r) {
-  for (std::size_t d = 0; d < pt.size(); ++d) {
-    if (pt[d] < r.ranges[d].lo || pt[d] > r.ranges[d].hi) return false;
-  }
-  return true;
+Region unit_region(std::size_t dims) {
+  return Region{std::vector<Interval>(dims, Interval{0, 1})};
 }
 
 std::vector<std::uint32_t> brute_range(const EntryStore& s, const Region& r) {
   std::vector<std::uint32_t> out;
   for (std::size_t i = 0; i < s.size(); ++i) {
-    if (inside(s.point(i), r)) out.push_back(static_cast<std::uint32_t>(i));
+    if (linf_box_distance(s.point(i), r) == 0.0) {
+      out.push_back(static_cast<std::uint32_t>(i));
+    }
   }
   return out;
 }
 
-double linf(std::span<const double> a, std::span<const double> b) {
-  double d = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    d = std::max(d, std::abs(a[i] - b[i]));
+enum class State { kFresh, kStale, kRebuilt };
+constexpr State kAllStates[] = {State::kFresh, State::kStale,
+                                State::kRebuilt};
+
+const char* state_name(State s) {
+  switch (s) {
+    case State::kFresh:
+      return "fresh";
+    case State::kStale:
+      return "stale";
+    case State::kRebuilt:
+      return "rebuilt";
   }
-  return d;
+  return "?";
 }
 
-std::vector<std::uint32_t> brute_knn(const EntryStore& s,
-                                     std::span<const double> focus,
-                                     std::size_t k) {
-  std::vector<std::pair<double, std::uint32_t>> scored;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    scored.emplace_back(linf(s.point(i), focus),
-                        static_cast<std::uint32_t>(i));
+// A store over `rows` in `state`. The stale and rebuilt stores were built
+// before the last row arrived — a node that took a write after its first
+// probe — so a probe that trusted the old indices would miss that row.
+std::unique_ptr<LocalStore> store_in(State state, const EntryStore& rows) {
+  auto ls = std::make_unique<LocalStore>();
+  if (state == State::kFresh) {
+    ls->build(rows);
+    return ls;
   }
-  std::sort(scored.begin(), scored.end());
-  std::vector<std::uint32_t> out;
-  for (std::size_t i = 0; i < std::min(k, scored.size()); ++i) {
-    out.push_back(scored[i].second);
+  EntryStore before = rows;
+  before.pop_back();
+  ls->build(before);
+  ls->invalidate();
+  if (state == State::kRebuilt) {
+    // Probe until the rule fires; every probe before it scans all rows.
+    const Region all = unit_region(rows.dims());
+    std::vector<std::uint32_t> out;
+    while (ls->stats().rebuilds == 1) {
+      out.clear();
+      ls->range(rows, all, out);
+    }
   }
-  return out;
+  return ls;
 }
 
 // ---------------------------------------------------------------------
-// Conformance: properties every backend must satisfy.
+// Conformance: brute-force equality in every state.
 
 TEST(LocalStoreConformance, RangeReturnsOnlyContainedEntriesNoDuplicates) {
   Rng rng(11);
-  EntryStore store = random_store(rng, 500, 4);
-  for (LocalStoreKind kind : kAllKinds) {
-    auto ls = make_local_store(options_for(kind));
-    ls->build(store);
+  const EntryStore rows = random_store(rng, 500, 4);
+  for (State state : kAllStates) {
+    auto ls = store_in(state, rows);
     for (int t = 0; t < 20; ++t) {
       const Region r = random_region(rng, 4, 0.3);
       std::vector<std::uint32_t> out;
-      ls->range(store, r, out);
-      std::set<std::uint32_t> seen;
-      for (std::uint32_t i : out) {
-        EXPECT_TRUE(inside(store.point(i), r)) << ls->name();
-        EXPECT_TRUE(seen.insert(i).second)
-            << ls->name() << " returned entry " << i << " twice";
-      }
-      if (ls->exact()) {
-        const auto truth = brute_range(store, r);
-        EXPECT_EQ(seen, std::set<std::uint32_t>(truth.begin(), truth.end()))
-            << ls->name();
+      const std::size_t scanned = ls->range(rows, r, out);
+      EXPECT_EQ(out, brute_range(rows, r)) << state_name(state);
+      // A stale store scans every row; indices examine one slice.
+      if (state == State::kStale) {
+        EXPECT_EQ(scanned, rows.size());
+      } else {
+        EXPECT_LT(scanned, rows.size()) << state_name(state);
       }
     }
   }
@@ -119,96 +117,158 @@ TEST(LocalStoreConformance, RepeatedProbesAndRebuildsAreDeterministic) {
   Rng rng(12);
   EntryStore store = random_store(rng, 300, 3);
   const Region r = random_region(rng, 3, 0.4);
-  const IndexPoint focus{0.5, 0.5, 0.5};
-  for (LocalStoreKind kind : kAllKinds) {
-    auto ls = make_local_store(options_for(kind));
-    ls->build(store);
-    std::vector<std::uint32_t> range1, range2, knn1, knn2;
-    ls->range(store, r, range1);
-    ls->range(store, r, range2);
-    ls->knn(store, focus, 10, knn1);
-    ls->knn(store, focus, 10, knn2);
-    EXPECT_EQ(range1, range2) << ls->name();
-    EXPECT_EQ(knn1, knn2) << ls->name();
-    // A second build from the same rows reproduces the same structure.
-    ls->build(store);
-    std::vector<std::uint32_t> range3, knn3;
-    ls->range(store, r, range3);
-    ls->knn(store, focus, 10, knn3);
-    EXPECT_EQ(range1, range3) << ls->name();
-    EXPECT_EQ(knn1, knn3) << ls->name();
-    // A fresh instance with the same options agrees too.
-    auto other = make_local_store(options_for(kind));
-    other->build(store);
-    std::vector<std::uint32_t> range4, knn4;
-    other->range(store, r, range4);
-    other->knn(store, focus, 10, knn4);
-    EXPECT_EQ(range1, range4) << ls->name();
-    EXPECT_EQ(knn1, knn4) << ls->name();
-  }
+  auto ls = make_local_store(LocalStoreOptions{});
+  ls->build(store);
+  std::vector<std::uint32_t> range1, range2;
+  ls->range(store, r, range1);
+  ls->range(store, r, range2);
+  EXPECT_EQ(range1, range2);
+  // A second build from the same rows reproduces the same structure.
+  ls->build(store);
+  std::vector<std::uint32_t> range3;
+  ls->range(store, r, range3);
+  EXPECT_EQ(range1, range3);
+  // A fresh instance agrees too.
+  auto other = make_local_store(LocalStoreOptions{});
+  other->build(store);
+  std::vector<std::uint32_t> range4;
+  other->range(store, r, range4);
+  EXPECT_EQ(range1, range4);
 }
 
 TEST(LocalStoreConformance, EmptyAndTinyStores) {
   EntryStore empty;
   EntryStore one;
   one.push_back(7, 42, IndexPoint{0.5, 0.5});
-  const Region all{{Interval{0, 1}, Interval{0, 1}}};
-  const IndexPoint focus{0.4, 0.6};
-  for (LocalStoreKind kind : kAllKinds) {
-    auto ls = make_local_store(options_for(kind));
-    ls->build(empty);
-    std::vector<std::uint32_t> out;
-    EXPECT_EQ(ls->range(empty, all, out), 0u) << ls->name();
-    EXPECT_TRUE(out.empty()) << ls->name();
-    EXPECT_EQ(ls->knn(empty, focus, 5, out), 0u) << ls->name();
-    EXPECT_TRUE(out.empty()) << ls->name();
+  const Region all = unit_region(2);
+  LocalStore ls;
+  ls.build(empty);
+  std::vector<std::uint32_t> out;
+  EXPECT_EQ(ls.range(empty, all, out), 0u);
+  EXPECT_TRUE(out.empty());
 
-    ls->build(one);
-    out.clear();
-    ls->range(one, all, out);
-    EXPECT_EQ(out, std::vector<std::uint32_t>{0}) << ls->name();
-    out.clear();
-    ls->knn(one, focus, 5, out);
-    EXPECT_EQ(out, std::vector<std::uint32_t>{0}) << ls->name();
-  }
+  // The one row arrives after the build: the stale probe scans it.
+  ls.invalidate();
+  EXPECT_EQ(ls.range(one, all, out), 1u);
+  EXPECT_EQ(out, std::vector<std::uint32_t>{0});
+
+  ls.build(one);
+  out.clear();
+  ls.range(one, all, out);
+  EXPECT_EQ(out, std::vector<std::uint32_t>{0});
 }
 
 TEST(LocalStoreConformance, MemoryBytesReflectsBuiltStructure) {
   Rng rng(13);
   EntryStore store = random_store(rng, 400, 5);
-  for (LocalStoreKind kind : kAllKinds) {
-    auto ls = make_local_store(options_for(kind));
-    ls->build(store);
-    EXPECT_GT(ls->memory_bytes(), 0u) << ls->name();
-  }
+  LocalStore ls;
+  EXPECT_EQ(ls.memory_bytes(), 0u);
+  ls.build(store);
+  EXPECT_GT(ls.memory_bytes(), 0u);
 }
 
-TEST(LocalStoreConformance, ExactBackendsMatchBruteForceKnn) {
+TEST(LocalStoreConformance, HitsAppendInAscendingEntryIndexInEveryState) {
   Rng rng(14);
-  EntryStore store = random_store(rng, 600, 3);
-  for (LocalStoreKind kind : kAllKinds) {
-    auto ls = make_local_store(options_for(kind));
-    if (!ls->exact()) continue;
-    ls->build(store);
+  const EntryStore rows = random_store(rng, 400, 3);
+  for (State state : kAllStates) {
+    auto ls = store_in(state, rows);
     for (int t = 0; t < 10; ++t) {
-      IndexPoint focus{rng.uniform(), rng.uniform(), rng.uniform()};
-      std::vector<std::uint32_t> out;
-      ls->knn(store, focus, 10, out);
-      EXPECT_EQ(out, brute_knn(store, focus, 10)) << ls->name();
+      const Region r = random_region(rng, 3, 0.5);
+      // `out` is appended to, never cleared: earlier contents survive
+      // and only the new hits are ordered.
+      std::vector<std::uint32_t> out{999999, 7};
+      ls->range(rows, r, out);
+      ASSERT_GE(out.size(), 2u);
+      EXPECT_EQ(out[0], 999999u);
+      EXPECT_EQ(out[1], 7u);
+      EXPECT_TRUE(std::is_sorted(out.begin() + 2, out.end()))
+          << state_name(state);
+      EXPECT_EQ(std::vector<std::uint32_t>(out.begin() + 2, out.end()),
+                brute_range(rows, r))
+          << state_name(state);
     }
   }
 }
 
 // ---------------------------------------------------------------------
-// Pivot table: exactness as a property over random mutation traces,
-// including the extract_if migration path the platform uses.
+// The rebuild rule.
 
-TEST(PivotStoreProperty, ExactUnderRandomMutationTraces) {
+TEST(LocalStoreRebuildRule, FirstBuildIsEager) {
+  Rng rng(15);
+  const EntryStore rows = random_store(rng, 200, 3);
+  LocalStore ls;
+  ls.invalidate();  // nothing to invalidate yet: still never built
+  std::vector<std::uint32_t> out;
+  const std::size_t scanned =
+      ls.range(rows, random_region(rng, 3, 0.2), out);
+  EXPECT_EQ(ls.stats().rebuilds, 1u);
+  EXPECT_EQ(ls.stats().rebuilt_entries, rows.size());
+  EXPECT_LT(scanned, rows.size());
+}
+
+TEST(LocalStoreRebuildRule, FiresOnTheProbeWhoseChargeCoversTheSort) {
+  Rng rng(16);
+  EntryStore rows = random_store(rng, 100, 3);
+  LocalStore ls;
+  ls.build(rows);
+  rows.push_back(1000, 1000, IndexPoint{0.5, 0.5, 0.5});
+  ls.invalidate();
+  // n = 101 rows, 3 dims, ceil(log2(102)) = 7: the rebuild costs
+  // 101 * 3 * 7 = 2121. Each stale probe charges 101, so probes 1-21
+  // scan and probe 22 — the first to find a charge of 2121 — rebuilds.
+  const Region narrow = random_region(rng, 3, 0.1);
+  for (int probe = 1; probe <= 21; ++probe) {
+    std::vector<std::uint32_t> out;
+    EXPECT_EQ(ls.range(rows, narrow, out), rows.size()) << "probe " << probe;
+    EXPECT_EQ(out, brute_range(rows, narrow)) << "probe " << probe;
+    EXPECT_EQ(ls.stats().rebuilds, 1u) << "probe " << probe;
+  }
+  std::vector<std::uint32_t> out;
+  EXPECT_LT(ls.range(rows, narrow, out), rows.size());
+  EXPECT_EQ(out, brute_range(rows, narrow));
+  EXPECT_EQ(ls.stats().rebuilds, 2u);
+  EXPECT_EQ(ls.stats().rebuilt_entries, 100u + 101u);
+  // Fresh again: later probes neither scan everything nor rebuild.
+  out.clear();
+  EXPECT_LT(ls.range(rows, narrow, out), rows.size());
+  EXPECT_EQ(ls.stats().rebuilds, 2u);
+}
+
+TEST(LocalStoreRebuildRule, AWriteRestartsTheCharge) {
+  Rng rng(17);
+  EntryStore rows = random_store(rng, 100, 3);
+  LocalStore ls;
+  ls.build(rows);
+  rows.push_back(1000, 1000, IndexPoint{0.5, 0.5, 0.5});
+  ls.invalidate();
+  const Region narrow = random_region(rng, 3, 0.1);
+  std::vector<std::uint32_t> out;
+  for (int probe = 1; probe <= 20; ++probe) ls.range(rows, narrow, out);
+  // 20 scans of 101 rows fell short of the 2121 rebuild; the next write
+  // writes them off. With 102 rows the rebuild costs 102 * 3 * 7 = 2142,
+  // so 21 more probes scan and the 22nd rebuilds.
+  rows.push_back(1001, 1001, IndexPoint{0.4, 0.4, 0.4});
+  ls.invalidate();
+  for (int probe = 1; probe <= 21; ++probe) {
+    EXPECT_EQ(ls.range(rows, narrow, out), rows.size()) << "probe " << probe;
+  }
+  EXPECT_EQ(ls.stats().rebuilds, 1u);
+  EXPECT_LT(ls.range(rows, narrow, out), rows.size());
+  EXPECT_EQ(ls.stats().rebuilds, 2u);
+}
+
+// ---------------------------------------------------------------------
+// Exactness as a property over random mutation traces, including the
+// extract_if migration path the platform uses, with probes between
+// mutations so the store moves through all three states.
+
+TEST(LocalStoreProperty, ExactUnderRandomMutationTraces) {
   Rng rng(21);
   EntryStore store;
   EntryStore migrated;  // extract_if destination (the "new owner")
-  auto pivot = make_local_store(options_for(LocalStoreKind::kPivot));
+  LocalStore ls;
   std::uint64_t next_object = 0;
+  std::uint64_t stale_probes = 0;
   for (int step = 0; step < 40; ++step) {
     // A burst of mutations, shaped like platform traffic: mostly
     // inserts, occasional deletes, periodic key-predicate migrations.
@@ -232,167 +292,43 @@ TEST(PivotStoreProperty, ExactUnderRandomMutationTraces) {
       store.extract_if([split](Id k) { return k < split; }, migrated);
       if (rng.uniform() < 0.5) store.append_moved(migrated);
     }
-    // Rebuild-on-mutation, then exactness against brute force.
-    pivot->build(store);
-    for (int q = 0; q < 5; ++q) {
+    ls.invalidate();
+    const int probes = 1 + static_cast<int>(rng.below(40));
+    for (int q = 0; q < probes; ++q) {
       const Region r = random_region(rng, 3, 0.25 + 0.5 * rng.uniform());
       std::vector<std::uint32_t> got;
-      pivot->range(store, r, got);
-      std::sort(got.begin(), got.end());
+      const std::size_t scanned = ls.range(store, r, got);
+      stale_probes += (scanned == store.size() && store.size() > 30);
       EXPECT_EQ(got, brute_range(store, r)) << "step " << step;
-      IndexPoint focus{rng.uniform(), rng.uniform(), rng.uniform()};
-      std::vector<std::uint32_t> knn_got;
-      pivot->knn(store, focus, 5, knn_got);
-      EXPECT_EQ(knn_got, brute_knn(store, focus, 5)) << "step " << step;
     }
   }
+  // The trace really exercised both the stale scans and deferred
+  // rebuilds, not just the eager first build.
+  EXPECT_GT(stale_probes, 0u);
+  EXPECT_GT(ls.stats().rebuilds, 1u);
 }
 
-TEST(PivotStoreProperty, PrunesAgainstFullScan) {
+TEST(LocalStoreProperty, PrunesAgainstFullScan) {
   Rng rng(22);
-  // Clustered data and selective boxes: the triangle-inequality bound
-  // must skip most entries (this is the backend's whole point).
+  // Clustered data and a selective box: a fresh store examines only the
+  // most selective dimension's slice.
   EntryStore store;
   for (std::size_t i = 0; i < 2000; ++i) {
-    const double cx = (i % 4) * 0.25 + 0.1;
+    const double cx = static_cast<double>(i % 4) * 0.25 + 0.1;
     IndexPoint pt{cx + 0.02 * rng.uniform(), cx + 0.02 * rng.uniform()};
     store.push_back(static_cast<Id>(rng.next()), i, pt);
   }
-  auto pivot = make_local_store(options_for(LocalStoreKind::kPivot));
-  pivot->build(store);
+  LocalStore ls;
+  ls.build(store);
   std::vector<std::uint32_t> out;
-  const std::size_t scanned =
-      pivot->range(store, Region{{Interval{0.1, 0.13}, Interval{0.1, 0.13}}},
-                   out);
+  const std::size_t scanned = ls.range(
+      store, Region{{Interval{0.1, 0.13}, Interval{0.1, 0.13}}}, out);
   EXPECT_LT(scanned, store.size() / 2);
   EXPECT_FALSE(out.empty());
 }
 
 // ---------------------------------------------------------------------
-// HNSW: determinism pins and recall floor.
-
-TEST(HnswStoreTest, LevelIsPureFunctionOfSeedAndObject) {
-  LocalStoreOptions opts = options_for(LocalStoreKind::kHnsw);
-  HnswStore a(opts), b(opts);
-  Rng rng(31);
-  int top = 0;
-  for (int t = 0; t < 2000; ++t) {
-    const std::uint64_t object = rng.next();
-    // Same (seed, object) -> same level, on any instance: the pin that
-    // keeps a migrated entry at its level on the new owner.
-    EXPECT_EQ(a.level_for_object(object), b.level_for_object(object));
-    top = std::max(top, a.level_for_object(object));
-  }
-  EXPECT_GE(top, 1);  // the distribution actually uses upper layers
-  LocalStoreOptions reseeded = opts;
-  reseeded.seed ^= 0x1234567;
-  HnswStore c(reseeded);
-  int differ = 0;
-  Rng rng2(31);
-  for (int t = 0; t < 2000; ++t) {
-    const std::uint64_t object = rng2.next();
-    differ += (a.level_for_object(object) != c.level_for_object(object));
-  }
-  EXPECT_GT(differ, 0);  // the seed genuinely participates
-}
-
-TEST(HnswStoreTest, KnnRecallFloorOnClusteredData) {
-  Rng rng(32);
-  EntryStore store;
-  // Overlapping clusters (deviation larger than spacing), the regime
-  // landmark contraction produces. Hard-separated clusters stress
-  // greedy traversal across the connectivity bridges instead and are
-  // covered by the reachability test below plus the ablation bench's
-  // recall metric.
-  for (std::size_t i = 0; i < 2000; ++i) {
-    const std::size_t c = rng.below(8);
-    IndexPoint pt(6);
-    for (std::size_t d = 0; d < 6; ++d) {
-      pt[d] = 0.1 + 0.1 * static_cast<double>(c) + 0.25 * rng.uniform();
-    }
-    store.push_back(static_cast<Id>(rng.next()), i, pt);
-  }
-  LocalStoreOptions opts = options_for(LocalStoreKind::kHnsw);
-  opts.hnsw_m = 8;
-  opts.hnsw_ef_construction = 128;
-  opts.hnsw_ef_search = 64;
-  auto hnsw = make_local_store(opts);
-  hnsw->build(store);
-  double hit = 0, total = 0;
-  for (int q = 0; q < 50; ++q) {
-    IndexPoint focus(6);
-    const std::size_t c = rng.below(8);
-    for (std::size_t d = 0; d < 6; ++d) {
-      focus[d] = 0.1 + 0.1 * static_cast<double>(c) + 0.25 * rng.uniform();
-    }
-    std::vector<std::uint32_t> got;
-    hnsw->knn(store, focus, 10, got);
-    const auto truth = brute_knn(store, focus, 10);
-    for (std::uint32_t i : got) {
-      hit += std::count(truth.begin(), truth.end(), i) > 0 ? 1.0 : 0.0;
-    }
-    total += static_cast<double>(truth.size());
-  }
-  EXPECT_GE(hit / total, 0.95);
-}
-
-TEST(HnswStoreTest, ReachesEveryEntryAcrossSeparatedClusters) {
-  Rng rng(34);
-  EntryStore store;
-  // Hard-separated clusters: closest-first neighbour selection alone
-  // links nothing across the gaps, so this exercises the build-time
-  // connectivity repair. An exhaustive probe (k = n, beam = n) must
-  // reach every stored entry.
-  for (std::size_t i = 0; i < 600; ++i) {
-    const std::size_t c = rng.below(6);
-    IndexPoint pt(4);
-    for (std::size_t d = 0; d < 4; ++d) {
-      pt[d] = 0.15 * static_cast<double>(c) + 0.02 * rng.uniform();
-    }
-    store.push_back(static_cast<Id>(rng.next()), i, pt);
-  }
-  LocalStoreOptions opts = options_for(LocalStoreKind::kHnsw);
-  opts.hnsw_m = 4;
-  auto hnsw = make_local_store(opts);
-  hnsw->build(store);
-  std::vector<std::uint32_t> got;
-  hnsw->knn(store, IndexPoint{0.5, 0.5, 0.5, 0.5}, store.size(), got);
-  EXPECT_EQ(got.size(), store.size());
-}
-
-TEST(HnswStoreTest, ResultsOrderedByDistanceThenIndex) {
-  Rng rng(33);
-  EntryStore store = random_store(rng, 800, 4);
-  auto hnsw = make_local_store(options_for(LocalStoreKind::kHnsw));
-  hnsw->build(store);
-  const IndexPoint focus{0.5, 0.5, 0.5, 0.5};
-  std::vector<std::uint32_t> got;
-  hnsw->knn(store, focus, 20, got);
-  ASSERT_FALSE(got.empty());
-  for (std::size_t i = 1; i < got.size(); ++i) {
-    const double prev = linf(store.point(got[i - 1]), focus);
-    const double cur = linf(store.point(got[i]), focus);
-    EXPECT_TRUE(prev < cur || (prev == cur && got[i - 1] < got[i]));
-  }
-}
-
-// ---------------------------------------------------------------------
-// Backend naming / selection plumbing.
-
-TEST(LocalStoreNaming, NamesRoundTripThroughParse) {
-  for (LocalStoreKind kind : kAllKinds) {
-    LocalStoreKind parsed = LocalStoreKind::kSorted;
-    EXPECT_TRUE(parse_local_store_kind(local_store_kind_name(kind), &parsed));
-    EXPECT_EQ(parsed, kind);
-  }
-  LocalStoreKind out = LocalStoreKind::kPivot;
-  EXPECT_FALSE(parse_local_store_kind("btree", &out));
-  EXPECT_FALSE(parse_local_store_kind("", &out));
-  EXPECT_EQ(out, LocalStoreKind::kPivot);  // untouched on failure
-}
-
-// ---------------------------------------------------------------------
-// Platform accounting: lazy rebuild-on-mutation.
+// Platform accounting: only builds actually performed count.
 
 struct Stack {
   Stack(std::size_t hosts, std::uint64_t seed)
@@ -405,11 +341,18 @@ struct Stack {
     platform = std::make_unique<IndexPlatform>(*ring);
   }
 
-  void query_all(std::uint32_t scheme, Region region) {
-    platform->region_query(*ring->alive_nodes()[0], scheme, region,
-                           IndexPoint(region.dims(), 0.5),
-                           ReplyMode::kAllMatches, [](const auto&) {});
+  /// Entries examined by one query (default: the whole space).
+  std::uint64_t query(std::uint32_t scheme,
+                      const Region& region = unit_region(2)) {
+    std::uint64_t scanned = 0;
+    platform->region_query(
+        *ring->alive_nodes()[0], scheme, region, IndexPoint(2, 0.5),
+        ReplyMode::kAllMatches,
+        [&scanned](const IndexPlatform::QueryOutcome& o) {
+          scanned = o.scanned;
+        });
     sim.run();
+    return scanned;
   }
 
   Simulator sim;
@@ -419,33 +362,82 @@ struct Stack {
   std::unique_ptr<IndexPlatform> platform;
 };
 
-TEST(LocalStorePlatform, RebuildsLazilyOncePerMutatedStore) {
-  Stack s(8, 5);
-  LocalStoreOptions store_opts;
-  store_opts.kind = LocalStoreKind::kPivot;
+std::uint32_t load_scheme(Stack& s, int entries) {
   auto scheme = s.platform->register_scheme(
-      "acct", uniform_boundary(2, 0, 1), false, store_opts);
+      "acct", uniform_boundary(2, 0, 1), false);
   Rng rng(6);
-  for (int i = 0; i < 64; ++i) {
+  for (int i = 0; i < entries; ++i) {
     s.platform->insert(scheme, static_cast<std::uint64_t>(i),
                        IndexPoint{rng.uniform(), rng.uniform()});
   }
+  return scheme;
+}
+
+TEST(LocalStorePlatform, RebuildsLazilyOncePerMutatedStore) {
+  Stack s(8, 5);
+  const std::uint32_t scheme = load_scheme(s, 64);
   EXPECT_EQ(s.platform->local_store_stats().rebuilds, 0u);  // lazy
-  const Region all{{Interval{0, 1}, Interval{0, 1}}};
-  s.query_all(scheme, all);
+  const std::uint64_t fresh_scan = s.query(scheme);
   const auto after_first = s.platform->local_store_stats();
   EXPECT_GT(after_first.rebuilds, 0u);
   EXPECT_EQ(after_first.rebuilt_entries, 64u);
   // Probing again without mutations must not rebuild anything.
-  s.query_all(scheme, all);
+  EXPECT_EQ(s.query(scheme), fresh_scan);
   EXPECT_EQ(s.platform->local_store_stats().rebuilds, after_first.rebuilds);
-  // One more insert dirties exactly the owner's store.
+
+  // One more insert dirties exactly the owner's store. Its probes scan
+  // every row and count no build until they have paid for one; then
+  // exactly one rebuild of exactly that store is counted. A whole-space
+  // query probes each store many times over, so these probe only near
+  // the new point.
+  std::vector<std::size_t> sizes;
+  for (ChordNode* n : s.ring->alive_nodes()) {
+    sizes.push_back(s.platform->store(*n, scheme).size());
+  }
   s.platform->insert(scheme, 1000, IndexPoint{0.5, 0.5});
-  s.query_all(scheme, all);
-  const auto after_insert = s.platform->local_store_stats();
-  EXPECT_GT(after_insert.rebuilds, after_first.rebuilds);
-  EXPECT_GT(after_insert.rebuilt_entries, after_first.rebuilt_entries);
+  std::size_t owner_size = 0;
+  const auto nodes = s.ring->alive_nodes();
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const std::size_t now = s.platform->store(*nodes[i], scheme).size();
+    if (now != sizes[i]) owner_size = now;
+  }
+  ASSERT_GT(owner_size, 0u);
+  const Region near{{Interval{0.49, 0.51}, Interval{0.49, 0.51}}};
+  s.query(scheme, near);
+  EXPECT_EQ(s.platform->local_store_stats().rebuilds, after_first.rebuilds);
+  int queries = 1;
+  while (s.platform->local_store_stats().rebuilds == after_first.rebuilds) {
+    ASSERT_LT(queries, 1000);
+    s.query(scheme, near);
+    ++queries;
+  }
+  EXPECT_GT(queries, 1);  // the rebuild was deferred
+  const auto after_rebuild = s.platform->local_store_stats();
+  EXPECT_EQ(after_rebuild.rebuilds, after_first.rebuilds + 1);
+  EXPECT_EQ(after_rebuild.rebuilt_entries,
+            after_first.rebuilt_entries + owner_size);
   EXPECT_GT(s.platform->store_bytes(), 0u);
+}
+
+TEST(LocalStorePlatform, RemovingAnAbsentObjectKeepsStoresFresh) {
+  Stack s(8, 7);
+  const std::uint32_t scheme = load_scheme(s, 64);
+  const std::uint64_t fresh_scan = s.query(scheme);
+  const std::uint64_t rebuilds = s.platform->local_store_stats().rebuilds;
+  // Nothing is erased on either removal path, so no store goes stale.
+  // A stale store here would rebuild within 8 whole-space queries (about
+  // 8 rows, 2 dims, ceil(log2(9)) = 4); none may rebuild in 40.
+  EXPECT_FALSE(s.platform->remove(scheme, 5000, IndexPoint{0.3, 0.7}));
+  bool removed = true;
+  s.platform->remove_via_network(*s.ring->alive_nodes()[1], scheme, 5001,
+                                 IndexPoint{0.6, 0.2},
+                                 [&removed](bool r, int) { removed = r; });
+  s.sim.run();
+  EXPECT_FALSE(removed);
+  for (int q = 0; q < 40; ++q) {
+    EXPECT_EQ(s.query(scheme), fresh_scan) << "query " << q;
+  }
+  EXPECT_EQ(s.platform->local_store_stats().rebuilds, rebuilds);
 }
 
 }  // namespace
