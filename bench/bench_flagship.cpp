@@ -355,230 +355,6 @@ int run() {
   RecyclePoolStats pool = platform.reply_pool_stats();
   double wire_total = qbytes.sum() + rbytes.sum();
 
-  // ---- serving-layer sweep (LMK_FLAGSHIP_SERVE=1) --------------------
-  //
-  // Two rungs over pooled Zipf workloads (the i-th arrival of topic t
-  // reuses query salt i mod LMK_FLAGSHIP_QPOOL, so hot topics repeat a
-  // small set of exact foci — the shape result caching exists for):
-  //   A (efficiency, 1x rate, no service model): serve-off reference,
-  //     then caches + coalescing window on. Result digests must match
-  //     exactly; reports hit rate and wire bytes saved.
-  //   B (overload ladder, {1,2,4}x rate with modeled solve occupancy):
-  //     queue-limit shedding off vs on; reports p50/p99/p999 and the
-  //     shed rate per rung.
-  // The whole sweep is virtual-time-deterministic and lands in the
-  // deterministic JSON section; with the sweep off the section is
-  // byte-identical to pre-serve builds.
-  char serve_det[3584];
-  serve_det[0] = '\0';
-  const char* serve_env = std::getenv("LMK_FLAGSHIP_SERVE");
-  const bool serve_sweep =
-      serve_env != nullptr && *serve_env != '\0' && *serve_env != '0';
-  if (serve_sweep) {
-    const std::size_t qpool = env_size("LMK_FLAGSHIP_QPOOL", 4);
-    const std::uint64_t sweep_arrivals =
-        env_size("LMK_FLAGSHIP_SERVE_ARRIVALS", s.arrivals);
-    const SimTime service_us = static_cast<SimTime>(
-        env_size("LMK_FLAGSHIP_SERVICE_US", 30000));
-    const std::uint32_t queue_limit = static_cast<std::uint32_t>(
-        env_size("LMK_FLAGSHIP_QUEUE_LIMIT", 8));
-    const int max_retries = static_cast<int>(
-        env_size("LMK_FLAGSHIP_MAX_RETRIES", 4));
-    const SimTime window =
-        static_cast<SimTime>(env_size("LMK_FLAGSHIP_SERVE_WINDOW_MS", 2)) *
-        kMillisecond;
-    const char* venv = std::getenv("LMK_SERVE_VERIFY");
-    const bool verify = venv != nullptr && *venv != '\0' && *venv != '0';
-
-    struct SweepWorkload {
-      std::vector<Arrival> schedule;
-      std::vector<DenseVector> pts;
-      std::vector<ChordNode*> origins;
-    };
-    auto make_workload = [&](double mult, std::uint64_t wseed) {
-      SweepWorkload w;
-      OpenLoopConfig oc;
-      oc.arrivals_per_sec = s.rate * mult;
-      oc.topics = cfg.clusters;
-      oc.zipf_s = s.zipf_s;
-      oc.count = sweep_arrivals;
-      oc.seed = wseed;
-      w.schedule = open_loop_schedule(oc);
-      w.pts.resize(w.schedule.size());
-      std::vector<std::uint64_t> occurrence(cfg.clusters, 0);
-      for (std::size_t i = 0; i < w.schedule.size(); ++i) {
-        const std::uint32_t t = w.schedule[i].topic;
-        const std::uint64_t salt = t * qpool + (occurrence[t]++ % qpool);
-        w.pts[i] = stream.query_near(t, salt);
-      }
-      w.origins.resize(w.schedule.size());
-      Rng org(wseed ^ 0x5e27e5e27e5e27eull);
-      for (auto& o : w.origins) o = alive[org.below(alive.size())];
-      return w;
-    };
-
-    struct RungNumbers {
-      double p50 = 0, p99 = 0, p999 = 0;
-      std::uint64_t qbytes = 0, qmsgs = 0;
-      std::uint64_t hits = 0, probes = 0;
-      std::uint64_t shed = 0, lost = 0, coalesced = 0;
-      std::uint64_t digest = 1469598103934665603ULL;
-    };
-    auto run_rung = [&](const SweepWorkload& w, const ServeOptions& so) {
-      platform.set_serve_options(so);
-      const TrafficCounter q0 = platform.query_traffic();
-      const std::uint64_t c0 = platform.coalesced_messages();
-      RungNumbers r;
-      std::vector<double> lat(w.schedule.size(), 0.0);
-      std::vector<std::uint64_t> digests(w.schedule.size(), 0);
-      std::size_t completed = 0;
-      const SimTime t0 = sim.now();
-      for (std::size_t i = 0; i < w.schedule.size(); ++i) {
-        const auto at =
-            t0 + static_cast<SimTime>(w.schedule[i].at_sec *
-                                      static_cast<double>(kSecond));
-        sim.schedule_at(at, [&, i] {
-          platform.range_query(
-              *w.origins[i], index.scheme_id(),
-              index.mapper().map_unclamped(w.pts[i]), radius,
-              ReplyMode::kAllMatches,
-              [&, i](const IndexPlatform::QueryOutcome& o) {
-                lat[i] = static_cast<double>(o.max_latency) /
-                         static_cast<double>(kMillisecond);
-                std::vector<std::uint64_t> ids(o.results);
-                std::sort(ids.begin(), ids.end());
-                std::uint64_t d = 1469598103934665603ULL;
-                for (std::uint64_t id : ids) {
-                  d = (d ^ id) * 1099511628211ULL;
-                }
-                digests[i] = d;
-                r.shed += o.shed;
-                r.lost += static_cast<std::uint64_t>(o.lost_subqueries);
-                ++completed;
-              });
-        });
-      }
-      sim.run();
-      LMK_CHECK(completed == w.schedule.size());
-      if (const ServeState* st = platform.serve_state()) {
-        const CacheStats cs = st->aggregate_cache_stats();
-        r.hits = cs.hits;
-        r.probes = cs.probes;
-      }
-      r.qbytes = platform.query_traffic().bytes - q0.bytes;
-      r.qmsgs = platform.query_traffic().messages - q0.messages;
-      r.coalesced = platform.coalesced_messages() - c0;
-      for (std::uint64_t d : digests) {
-        r.digest = (r.digest ^ d) * 1099511628211ULL;
-      }
-      r.p50 = percentile_nth(lat, 50);
-      r.p99 = percentile_nth(lat, 99);
-      r.p999 = percentile_nth(lat, 99.9);
-      return r;
-    };
-
-    SweepWorkload eff = make_workload(1.0, s.seed + 31);
-    RungNumbers a_off = run_rung(eff, ServeOptions{});
-    ServeOptions eff_on;
-    eff_on.cache_enabled = true;
-    eff_on.cache_max_entries = 4096;
-    eff_on.coalesce_window = window;
-    eff_on.verify_hits = verify;
-    RungNumbers a_on = run_rung(eff, eff_on);
-    const bool digest_match = a_on.digest == a_off.digest;
-    const double hit_rate =
-        a_on.probes > 0 ? static_cast<double>(a_on.hits) /
-                              static_cast<double>(a_on.probes)
-                        : 0.0;
-    const double wire_ratio =
-        a_off.qbytes > 0 ? static_cast<double>(a_on.qbytes) /
-                               static_cast<double>(a_off.qbytes)
-                         : 1.0;
-    LMK_CHECK_MSG(digest_match,
-                  "serving tier changed query results (stale cache or "
-                  "batching bug)");
-
-    struct LadderRow {
-      int mult;
-      RungNumbers off, on;
-    };
-    LadderRow ladder[3] = {{1, {}, {}}, {2, {}, {}}, {4, {}, {}}};
-    for (LadderRow& row : ladder) {
-      SweepWorkload w = make_workload(row.mult,
-                                      s.seed + 47 + static_cast<std::uint64_t>(
-                                                        row.mult));
-      ServeOptions base;
-      base.service_time = service_us;
-      row.off = run_rung(w, base);
-      ServeOptions shed = base;
-      shed.queue_limit = queue_limit;
-      shed.backoff = 5 * kMillisecond;
-      shed.max_retries = max_retries;
-      row.on = run_rung(w, shed);
-    }
-    platform.set_serve_options(ServeOptions{});
-
-    std::printf("serve efficiency: hit rate %.3f (%llu/%llu), wire %llu -> "
-                "%llu bytes (ratio %.4f), msgs %llu -> %llu, coalesced "
-                "%llu, digest %s\n",
-                hit_rate, static_cast<unsigned long long>(a_on.hits),
-                static_cast<unsigned long long>(a_on.probes),
-                static_cast<unsigned long long>(a_off.qbytes),
-                static_cast<unsigned long long>(a_on.qbytes), wire_ratio,
-                static_cast<unsigned long long>(a_off.qmsgs),
-                static_cast<unsigned long long>(a_on.qmsgs),
-                static_cast<unsigned long long>(a_on.coalesced),
-                digest_match ? "match" : "MISMATCH");
-    for (const LadderRow& row : ladder) {
-      std::printf("serve overload x%d: off p50/p99/p999 %.1f/%.1f/%.1f ms, "
-                  "on %.1f/%.1f/%.1f ms, shed %llu, dropped %llu\n",
-                  row.mult, row.off.p50, row.off.p99, row.off.p999,
-                  row.on.p50, row.on.p99, row.on.p999,
-                  static_cast<unsigned long long>(row.on.shed),
-                  static_cast<unsigned long long>(row.on.lost));
-    }
-
-    int off = std::snprintf(
-        serve_det, sizeof serve_det,
-        ",\n    \"serve\": {\n"
-        "      \"qpool\": %zu, \"arrivals\": %llu, \"service_us\": %lld, "
-        "\"queue_limit\": %u, \"window_ms\": %lld, \"verify\": %s,\n"
-        "      \"efficiency\": {\"digest_match\": %s, \"hit_rate\": %.6f, "
-        "\"cache_hits\": %llu, \"cache_probes\": %llu, "
-        "\"bytes_off\": %llu, \"bytes_on\": %llu, \"wire_ratio\": %.6f, "
-        "\"messages_off\": %llu, \"messages_on\": %llu, "
-        "\"coalesced\": %llu, \"p50_off\": %.6f, \"p50_on\": %.6f},\n"
-        "      \"overload\": [",
-        qpool, static_cast<unsigned long long>(sweep_arrivals),
-        static_cast<long long>(service_us), queue_limit,
-        static_cast<long long>(window / kMillisecond),
-        verify ? "true" : "false", digest_match ? "true" : "false", hit_rate,
-        static_cast<unsigned long long>(a_on.hits),
-        static_cast<unsigned long long>(a_on.probes),
-        static_cast<unsigned long long>(a_off.qbytes),
-        static_cast<unsigned long long>(a_on.qbytes), wire_ratio,
-        static_cast<unsigned long long>(a_off.qmsgs),
-        static_cast<unsigned long long>(a_on.qmsgs),
-        static_cast<unsigned long long>(a_on.coalesced), a_off.p50, a_on.p50);
-    for (std::size_t i = 0; i < 3; ++i) {
-      const LadderRow& row = ladder[i];
-      off += std::snprintf(
-          serve_det + off, sizeof serve_det - static_cast<std::size_t>(off),
-          "%s\n        {\"mult\": %d, \"shed\": %llu, \"dropped\": %llu, "
-          "\"p50_off\": %.6f, \"p99_off\": %.6f, \"p999_off\": %.6f, "
-          "\"p50_on\": %.6f, \"p99_on\": %.6f, \"p999_on\": %.6f}",
-          i == 0 ? "" : ",", row.mult,
-          static_cast<unsigned long long>(row.on.shed),
-          static_cast<unsigned long long>(row.on.lost), row.off.p50,
-          row.off.p99, row.off.p999, row.on.p50, row.on.p99, row.on.p999);
-    }
-    off += std::snprintf(serve_det + off,
-                         sizeof serve_det - static_cast<std::size_t>(off),
-                         "\n      ]\n    }");
-    LMK_CHECK(off > 0 &&
-              static_cast<std::size_t>(off) < sizeof serve_det - 1);
-  }
-
   std::printf("build: select %.3fs  topology %.3fs  stream-load %.3fs "
               "(%.0f objects/s, batches of 8192)\n",
               t_select, t_topology, t_build,
@@ -641,7 +417,7 @@ int run() {
       "    \"local_store\": \"%s\",\n"
       "    \"scanned_per_subquery\": %.6f,\n"
       "    \"incomplete\": %llu,\n"
-      "    \"sim_events\": %llu%s\n"
+      "    \"sim_events\": %llu\n"
       "  }",
       p50, p90, p99, p999, lat_max, p99_stream.value(), p999_stream.value(),
       rp50, rp99, static_cast<unsigned long long>(depth_max),
@@ -658,7 +434,7 @@ int run() {
       platform.local_store_name(index.scheme_id()),
       subqueries.sum() > 0 ? scanned.sum() / subqueries.sum() : 0.0,
       static_cast<unsigned long long>(incomplete),
-      static_cast<unsigned long long>(sim_events), serve_det);
+      static_cast<unsigned long long>(sim_events));
 
   const char* out_path = std::getenv("LMK_FLAGSHIP_OUT");
   if (out_path == nullptr || *out_path == '\0') {

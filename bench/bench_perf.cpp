@@ -32,7 +32,6 @@
 #include "common/parallel.hpp"
 #include "core/index_platform.hpp"
 #include "eval/experiment.hpp"
-#include "serve/result_cache.hpp"
 
 namespace lmk::bench {
 namespace {
@@ -439,106 +438,6 @@ int run() {
                 store_cell.bytes);
   }
 
-  // Serving phase: ResultCache probe storms — hit vs miss vs
-  // invalidation scan vs invalidate-and-refill, isolating the serving
-  // tier's per-probe cost from the end-to-end query path. The three
-  // steady-state storms (hit, miss, non-covering invalidation sweep)
-  // run inside one alloc-guard scope: the cache probe and invalidation
-  // loops must not allocate once filled (hard-gated by bench_diff.py
-  // when the guard build is on).
-  struct ServeNumbers {
-    double fill_s = 0, hit_s = 0, miss_s = 0, inval_s = 0, refill_s = 0;
-    std::uint64_t probes = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t hit_entries = 0;  ///< entries surfaced by hit probes
-    std::size_t slots = 0, entries_per_slot = 0;
-    std::uint64_t refills = 0;
-  } serve;
-  AllocCounters serve_steady;
-  {
-    const std::size_t cdims = 8;
-    serve.slots = env_size("LMK_SERVE_BENCH_SLOTS", 256);
-    serve.entries_per_slot = env_size("LMK_SERVE_BENCH_ENTRIES", 64);
-    serve.probes =
-        env_size("LMK_SERVE_BENCH_PROBES", full_scale() ? 400000 : 100000);
-    ResultCache cache(serve.slots, /*max_entries=*/0, /*ttl=*/0);
-    // Regions and probe points are prebuilt: Region construction
-    // allocates, and the storms below must not.
-    auto box_at = [&](double lo) {
-      Region r;
-      for (std::size_t d = 0; d < cdims; ++d) {
-        r.ranges.push_back(Interval{lo, lo + 0.5});
-      }
-      return r;
-    };
-    std::vector<Region> fill_regions, miss_regions;
-    fill_regions.reserve(serve.slots);
-    miss_regions.reserve(serve.slots);
-    for (std::size_t i = 0; i < serve.slots; ++i) {
-      fill_regions.push_back(box_at(static_cast<double>(i)));
-      miss_regions.push_back(box_at(static_cast<double>(i) + 0.25));
-    }
-    std::vector<std::uint64_t> objs(serve.entries_per_slot);
-    std::vector<double> coords(serve.entries_per_slot * cdims);
-    Rng crng(s.seed + 33);
-    for (std::size_t e = 0; e < serve.entries_per_slot; ++e) {
-      objs[e] = e;
-      for (std::size_t d = 0; d < cdims; ++d) {
-        coords[e * cdims + d] = crng.uniform();
-      }
-    }
-    serve.fill_s = time_s([&] {
-      for (std::size_t i = 0; i < serve.slots; ++i) {
-        cache.insert(fill_regions[i], 0, objs, coords, cdims);
-      }
-    });
-    const std::vector<double> outside(cdims, -10.0);  // covers no slot
-    std::span<const std::uint64_t> po;
-    std::span<const double> pc;
-    std::size_t pd = 0;
-    {
-      AllocPhaseScope phase("serve-steady-state");
-      serve.hit_s = time_s([&] {
-        for (std::uint64_t p = 0; p < serve.probes; ++p) {
-          if (cache.probe(fill_regions[p % serve.slots], 0, &po, &pc, &pd)) {
-            ++serve.hits;
-            serve.hit_entries += po.size();
-          }
-        }
-      });
-      serve.miss_s = time_s([&] {
-        for (std::uint64_t p = 0; p < serve.probes; ++p) {
-          if (cache.probe(miss_regions[p % serve.slots], 0, &po, &pc, &pd)) {
-            ++serve.hits;  // cannot happen; keeps the probe observable
-          }
-        }
-      });
-      serve.inval_s = time_s([&] {
-        for (std::uint64_t p = 0; p < serve.probes / 8; ++p) {
-          cache.invalidate_point(outside);
-        }
-      });
-      serve_steady = phase.delta();
-    }
-    LMK_CHECK(serve.hits == serve.probes);
-    LMK_CHECK(cache.live_slots() == serve.slots);
-    // Covering invalidation + refill cycle (insert may grow slot
-    // storage, so it stays outside the steady-state alloc scope).
-    serve.refills = serve.slots * 8;
-    serve.refill_s = time_s([&] {
-      std::vector<double> center(cdims);
-      for (std::uint64_t p = 0; p < serve.refills; ++p) {
-        const std::size_t i = static_cast<std::size_t>(p) % serve.slots;
-        for (std::size_t d = 0; d < cdims; ++d) {
-          center[d] = static_cast<double>(i) + 0.25;
-        }
-        cache.invalidate_point(center);
-        cache.insert(fill_regions[i], 0, objs, coords, cdims);
-      }
-    });
-    LMK_CHECK(cache.stats().point_invalidations == serve.refills);
-  }
-
   double off1 = t1.oracle + t1.kmeans + t1.greedy + t1.build;
   double offN = tN.oracle + tN.kmeans + tN.greedy + tN.build;
   std::printf("phase           1 thread      %zu threads\n", pool_threads);
@@ -560,22 +459,6 @@ int run() {
               "(%.0f subqueries)\n",
               online.cand_per_subquery(), online.scan_per_subquery(),
               online.subqueries);
-  std::printf("serve: %zu slots x %zu entries  hit %.0f probes/s  "
-              "miss %.0f probes/s  inval scan %.0f sweeps/s  "
-              "refill %.0f cycles/s\n",
-              serve.slots, serve.entries_per_slot,
-              serve.hit_s > 0 ? static_cast<double>(serve.probes) /
-                                    serve.hit_s
-                              : 0.0,
-              serve.miss_s > 0 ? static_cast<double>(serve.probes) /
-                                     serve.miss_s
-                               : 0.0,
-              serve.inval_s > 0 ? static_cast<double>(serve.probes / 8) /
-                                      serve.inval_s
-                                : 0.0,
-              serve.refill_s > 0 ? static_cast<double>(serve.refills) /
-                                       serve.refill_s
-                                 : 0.0);
   std::printf("sweep: %zu cells  1 thread %.3fs (%.2f cells/s)  "
               "%zu threads %.3fs (%.2f cells/s)  speedup %.2fx  "
               "peak resident %zu (cap %zu)\n",
@@ -696,37 +579,6 @@ int run() {
                static_cast<unsigned long long>(store_cell.range_hits),
                store_cell.bytes);
 
-  // Serving-tier cache microbench: raw ResultCache probe storms,
-  // decoupled from the end-to-end overload sweep in bench_flagship.
-  std::fprintf(
-      f,
-      ",\n  \"serve\": {\n"
-      "    \"slots\": %zu,\n"
-      "    \"entries_per_slot\": %zu,\n"
-      "    \"probes\": %llu,\n"
-      "    \"hits\": %llu,\n"
-      "    \"hit_entries\": %llu,\n"
-      "    \"fill_seconds\": %.6f,\n"
-      "    \"hit_probes_per_sec\": %.1f,\n"
-      "    \"miss_probes_per_sec\": %.1f,\n"
-      "    \"invalidation_sweeps_per_sec\": %.1f,\n"
-      "    \"refill_cycles_per_sec\": %.1f\n"
-      "  }",
-      serve.slots, serve.entries_per_slot,
-      static_cast<unsigned long long>(serve.probes),
-      static_cast<unsigned long long>(serve.hits),
-      static_cast<unsigned long long>(serve.hit_entries), serve.fill_s,
-      serve.hit_s > 0 ? static_cast<double>(serve.probes) / serve.hit_s
-                      : 0.0,
-      serve.miss_s > 0 ? static_cast<double>(serve.probes) / serve.miss_s
-                       : 0.0,
-      serve.inval_s > 0
-          ? static_cast<double>(serve.probes / 8) / serve.inval_s
-          : 0.0,
-      serve.refill_s > 0
-          ? static_cast<double>(serve.refills) / serve.refill_s
-          : 0.0);
-
   // Per-phase allocation deltas (all-zero unless built with
   // -DLMK_ALLOC_GUARD=ON; "guard_enabled" tells bench_diff.py whether
   // the zero-steady-state-allocation gate is meaningful).
@@ -736,9 +588,6 @@ int run() {
                "    \"engine_warmup\": {\"allocs\": %llu, \"frees\": %llu, "
                "\"alloc_bytes\": %llu, \"free_bytes\": %llu},\n"
                "    \"engine_steady_state\": {\"allocs\": %llu, "
-               "\"frees\": %llu, \"alloc_bytes\": %llu, "
-               "\"free_bytes\": %llu},\n"
-               "    \"serve_steady_state\": {\"allocs\": %llu, "
                "\"frees\": %llu, \"alloc_bytes\": %llu, "
                "\"free_bytes\": %llu}\n"
                "  }",
@@ -750,11 +599,7 @@ int run() {
                static_cast<unsigned long long>(engine_steady.allocs),
                static_cast<unsigned long long>(engine_steady.frees),
                static_cast<unsigned long long>(engine_steady.alloc_bytes),
-               static_cast<unsigned long long>(engine_steady.free_bytes),
-               static_cast<unsigned long long>(serve_steady.allocs),
-               static_cast<unsigned long long>(serve_steady.frees),
-               static_cast<unsigned long long>(serve_steady.alloc_bytes),
-               static_cast<unsigned long long>(serve_steady.free_bytes));
+               static_cast<unsigned long long>(engine_steady.free_bytes));
   if (!baseline_online.empty()) {
     std::fprintf(f, ",\n  \"online_baseline\": %s",
                  baseline_online.c_str());

@@ -42,30 +42,9 @@ The flagship gates are scale-matched: when the current run's "scale"
 section differs from the baseline's (e.g. an LMK_FULL run against the
 committed smoke baseline), the gates are skipped with a note.
 
-Serving-tier gates: when the current flagship run carries a
-deterministic "serve" section (produced with LMK_FLAGSHIP_SERVE=1),
-four absolute gates run on it — absolute, not baseline-relative,
-because the section compares serve-on against serve-off inside one
-run:
-
-  * the efficiency rung's result digests must match (the cache and the
-    coalescing window must not change any query's result set);
-  * the cache hit rate must reach --serve-hit-floor (default 0.30)
-    under the Zipf-pooled workload;
-  * bytes on the wire with batching must not exceed the serve-off
-    bytes: wire_ratio <= --serve-wire-ceiling (default 1.0);
-  * at the --serve-overload-mult (default 4x) rung of the arrival-rate
-    ladder, p99 with shedding on must be strictly below p99 with the
-    serving tier off — load shedding must buy tail latency under
-    overload or it is dead weight.
-
-Serve-off runs carry no "serve" section and the gates auto-skip with a
-printed note, so the default pipelines are unaffected.
-
 Allocation-discipline gate: when the current BENCH_perf.json carries an
 "alloc" section with "guard_enabled": true (an LMK_ALLOC_GUARD build),
-the engine steady-state phase — and, when present, the serving tier's
-cache-probe steady state — must report ZERO allocations and frees.
+the engine steady-state phase must report ZERO allocations and frees.
 This is a correctness property of the engine hot path, not a wall-clock
 number, so it is a HARD failure: it exits nonzero even under
 --warn-only. Plain builds (guard_enabled false) skip the gate with a
@@ -255,84 +234,6 @@ def check_flagship(args, gate):
               f"{base_q} (informational)")
 
 
-def check_serve(args, gate):
-    """Serving-tier gates on the current flagship run's deterministic
-    "serve" section. Absolute gates (the section already holds the
-    on-vs-off comparison), so no baseline is consulted; serve-off runs
-    carry no section and skip."""
-    cur_doc, why = load_flagship(args.flagship)
-    if cur_doc is None:
-        print(f"bench_diff: serve gates skipped — {why}")
-        return
-    serve = cur_doc["deterministic"].get("serve")
-    if not isinstance(serve, dict):
-        print(f"bench_diff: serve gates skipped — no \"serve\" section in "
-              f"{args.flagship} (produce one with LMK_FLAGSHIP_SERVE=1)")
-        return
-
-    eff = section(serve, "efficiency", args.flagship)
-
-    # --- result digests: the serving tier must be invisible to results ---
-    if eff.get("digest_match") is not True:
-        gate("serve efficiency rung: result digests differ between "
-             "serve-on and serve-off — the cache or the coalescing "
-             "window changed a query's result set")
-    else:
-        print("bench_diff: serve digests match (cache + coalescing "
-              "result-transparent)")
-
-    # --- cache hit rate floor (Zipf-pooled workload) ---
-    hit_rate = fnum(eff, "hit_rate", args.flagship, default=-1.0)
-    if hit_rate >= 0:
-        print(f"bench_diff: serve hit rate {hit_rate:.3f} "
-              f"(floor {args.serve_hit_floor:.2f})")
-        if hit_rate < args.serve_hit_floor:
-            gate(f"serve cache hit rate {hit_rate:.3f} is below the "
-                 f"{args.serve_hit_floor:.2f} floor — the hot-result "
-                 f"cache stopped absorbing the Zipf head")
-    else:
-        print("bench_diff: serve hit rate missing (floor skipped)")
-
-    # --- bytes on the wire with batching (exact counters) ---
-    wire_ratio = fnum(eff, "wire_ratio", args.flagship, default=-1.0)
-    if wire_ratio >= 0:
-        print(f"bench_diff: serve wire ratio {wire_ratio:.4f} "
-              f"(ceiling {args.serve_wire_ceiling:.2f})")
-        if wire_ratio > args.serve_wire_ceiling:
-            gate(f"serve wire ratio {wire_ratio:.4f} exceeds the "
-                 f"{args.serve_wire_ceiling:.2f} ceiling — the "
-                 f"coalescing window stopped paying for itself in "
-                 f"query bytes")
-    else:
-        print("bench_diff: serve wire ratio missing (ceiling skipped)")
-
-    # --- overload ladder: shedding must buy p99 at the target rung ---
-    ladder = serve.get("overload")
-    if not isinstance(ladder, list):
-        print("bench_diff: serve overload ladder missing (gate skipped)")
-        return
-    rung = next((r for r in ladder if isinstance(r, dict)
-                 and r.get("mult") == args.serve_overload_mult), None)
-    if rung is None:
-        print(f"bench_diff: serve overload gate skipped — no "
-              f"{args.serve_overload_mult}x rung in the ladder")
-        return
-    p99_off = fnum(rung, "p99_off", args.flagship)
-    p99_on = fnum(rung, "p99_on", args.flagship)
-    if p99_off > 0 and p99_on > 0:
-        print(f"bench_diff: serve overload {args.serve_overload_mult}x "
-              f"p99 {p99_on:.1f}ms shedding-on vs {p99_off:.1f}ms off "
-              f"(shed {rung.get('shed')}, dropped {rung.get('dropped')})")
-        if p99_on >= p99_off:
-            gate(f"serve overload {args.serve_overload_mult}x rung: p99 "
-                 f"with shedding on ({p99_on:.1f}ms) is not below the "
-                 f"serve-off p99 ({p99_off:.1f}ms) — admission control "
-                 f"stopped buying tail latency under overload")
-    else:
-        print("bench_diff: serve overload p99 missing on one side "
-              "(gate skipped)")
-
-
 def check_alloc(cur_doc, path, hard):
     """Zero-allocation gate on the engine steady-state phase.
 
@@ -365,22 +266,6 @@ def check_alloc(cur_doc, path, hard):
              f"engine hot path must be allocation-free after warmup")
     else:
         print("bench_diff: alloc gate OK (zero steady-state "
-              "allocations)")
-    serve = alloc.get("serve_steady_state")
-    if not isinstance(serve, dict):
-        print("bench_diff: serve alloc gate skipped — no "
-              "\"serve_steady_state\" phase (pre-serve producer)")
-        return
-    v_allocs = inum(serve, "allocs", path)
-    v_frees = inum(serve, "frees", path)
-    v_bytes = inum(serve, "alloc_bytes", path)
-    if v_allocs > 0 or v_frees > 0:
-        hard(f"serve steady state performed {v_allocs:,} allocations "
-             f"and {v_frees:,} frees ({v_bytes:,} bytes) — cache probe "
-             f"and invalidation loops must be allocation-free once "
-             f"filled")
-    else:
-        print("bench_diff: serve alloc gate OK (zero steady-state "
               "allocations)")
 
 
@@ -443,15 +328,6 @@ def main():
     ap.add_argument("--flagship-scan-threshold", type=float, default=0.50,
                     help="allowed fractional growth of flagship scanned "
                          "entries per subquery")
-    ap.add_argument("--serve-hit-floor", type=float, default=0.30,
-                    help="minimum serve cache hit rate on the flagship "
-                         "efficiency rung (LMK_FLAGSHIP_SERVE runs)")
-    ap.add_argument("--serve-wire-ceiling", type=float, default=1.0,
-                    help="maximum serve-on/serve-off query-bytes ratio "
-                         "with the coalescing window enabled")
-    ap.add_argument("--serve-overload-mult", type=int, default=4,
-                    help="arrival-rate multiple whose ladder rung must "
-                         "show shedding-on p99 below serve-off p99")
     ap.add_argument("--flagship-only", action="store_true",
                     help="run only the flagship gates (for a CI leg that "
                          "produces no BENCH_perf.json)")
@@ -470,7 +346,6 @@ def main():
 
     if args.flagship_only:
         check_flagship(args, gate)
-        check_serve(args, gate)
         return finish(args, failures, hard_failures, " (flagship only)")
 
     base_doc = load_doc(args.baseline)
@@ -564,9 +439,6 @@ def main():
 
     # --- flagship open-loop scenario (deterministic gates) ---
     check_flagship(args, gate)
-
-    # --- serving tier (absolute gates on the current flagship run) ---
-    check_serve(args, gate)
 
     return finish(args, failures, hard_failures, "")
 

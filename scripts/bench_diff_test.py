@@ -32,7 +32,7 @@ def perf_doc(alloc=None):
     return doc
 
 
-def flagship_doc(recall=0.95, scanned=70.0, serve=None):
+def flagship_doc(recall=0.95, scanned=70.0):
     """A minimal well-formed BENCH_flagship.json document."""
     doc = {
         "scale": {"nodes": 256, "objects": 20000},
@@ -44,25 +44,7 @@ def flagship_doc(recall=0.95, scanned=70.0, serve=None):
             "scanned_per_subquery": scanned,
         },
     }
-    if serve is not None:
-        doc["deterministic"]["serve"] = serve
     return doc
-
-
-def serve_section(digest_match=True, hit_rate=0.75, wire_ratio=0.98,
-                  p99_off=7000.0, p99_on=3300.0):
-    """A deterministic "serve" section as bench_flagship emits it."""
-    return {
-        "qpool": 4, "arrivals": 200,
-        "efficiency": {"digest_match": digest_match, "hit_rate": hit_rate,
-                       "wire_ratio": wire_ratio},
-        "overload": [
-            {"mult": 1, "shed": 10, "dropped": 0,
-             "p99_off": 1700.0, "p99_on": 1800.0},
-            {"mult": 4, "shed": 900, "dropped": 110,
-             "p99_off": p99_off, "p99_on": p99_on},
-        ],
-    }
 
 
 class BenchDiffTest(unittest.TestCase):
@@ -213,98 +195,6 @@ class BenchDiffTest(unittest.TestCase):
         proc = self.run_flagship(base, cur)
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
         self.assertIn("scale mismatch", proc.stdout)
-
-    def test_serve_gates_skip_without_section(self):
-        base = self.write("fbase.json", flagship_doc())
-        cur = self.write("fcur.json", flagship_doc())
-        proc = self.run_flagship(base, cur)
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        self.assertIn("serve gates skipped", proc.stdout)
-
-    def test_serve_gates_pass_on_healthy_section(self):
-        base = self.write("fbase.json", flagship_doc())
-        cur = self.write("fcur.json",
-                         flagship_doc(serve=serve_section()))
-        proc = self.run_flagship(base, cur)
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        self.assertIn("serve digests match", proc.stdout)
-        self.assertIn("serve hit rate", proc.stdout)
-
-    def test_serve_digest_mismatch_fails(self):
-        base = self.write("fbase.json", flagship_doc())
-        cur = self.write(
-            "fcur.json",
-            flagship_doc(serve=serve_section(digest_match=False)))
-        proc = self.run_flagship(base, cur)
-        self.assert_readable_failure(proc, "result digests differ")
-
-    def test_serve_hit_rate_floor_fails_and_is_tunable(self):
-        base = self.write("fbase.json", flagship_doc())
-        cur = self.write("fcur.json",
-                         flagship_doc(serve=serve_section(hit_rate=0.05)))
-        proc = self.run_flagship(base, cur)
-        self.assert_readable_failure(proc, "hit rate 0.050 is below")
-        proc = self.run_flagship(base, cur, "--serve-hit-floor", "0.01")
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-
-    def test_serve_wire_ceiling_fails(self):
-        base = self.write("fbase.json", flagship_doc())
-        cur = self.write(
-            "fcur.json",
-            flagship_doc(serve=serve_section(wire_ratio=1.07)))
-        proc = self.run_flagship(base, cur)
-        self.assert_readable_failure(proc, "wire ratio 1.0700 exceeds")
-
-    def test_serve_overload_gate_fails_when_shedding_stops_paying(self):
-        base = self.write("fbase.json", flagship_doc())
-        cur = self.write(
-            "fcur.json",
-            flagship_doc(serve=serve_section(p99_off=3000.0,
-                                             p99_on=3200.0)))
-        proc = self.run_flagship(base, cur)
-        self.assert_readable_failure(proc, "is not below the serve-off")
-
-    def test_serve_overload_gate_targets_chosen_rung(self):
-        # The 1x rung in serve_section() has p99_on > p99_off (shedding
-        # costs a little at mild load, by design); pointing the gate at
-        # it must fail while the default 4x rung passes.
-        base = self.write("fbase.json", flagship_doc())
-        cur = self.write("fcur.json",
-                         flagship_doc(serve=serve_section()))
-        self.assertEqual(
-            self.run_flagship(base, cur).returncode, 0)
-        proc = self.run_flagship(base, cur, "--serve-overload-mult", "1")
-        self.assert_readable_failure(proc, "is not below the serve-off")
-
-    def test_serve_alloc_gate_fails_hard(self):
-        base = self.write("base.json", perf_doc())
-        cur = self.write("cur.json", perf_doc(alloc={
-            "guard_enabled": True,
-            "engine_warmup": {"allocs": 123, "frees": 4,
-                              "alloc_bytes": 9000, "free_bytes": 100},
-            "engine_steady_state": {"allocs": 0, "frees": 0,
-                                    "alloc_bytes": 0, "free_bytes": 0},
-            "serve_steady_state": {"allocs": 3, "frees": 3,
-                                   "alloc_bytes": 192, "free_bytes": 192},
-        }))
-        proc = self.run_diff(base, cur, "--warn-only")
-        self.assert_readable_failure(proc, "HARD FAILURE")
-        self.assertIn("cache probe", proc.stderr)
-
-    def test_serve_alloc_gate_passes_on_zero(self):
-        base = self.write("base.json", perf_doc())
-        cur = self.write("cur.json", perf_doc(alloc={
-            "guard_enabled": True,
-            "engine_warmup": {"allocs": 123, "frees": 4,
-                              "alloc_bytes": 9000, "free_bytes": 100},
-            "engine_steady_state": {"allocs": 0, "frees": 0,
-                                    "alloc_bytes": 0, "free_bytes": 0},
-            "serve_steady_state": {"allocs": 0, "frees": 0,
-                                   "alloc_bytes": 0, "free_bytes": 0},
-        }))
-        proc = self.run_diff(base, cur)
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        self.assertIn("serve alloc gate OK", proc.stdout)
 
     def test_soft_regression_respects_warn_only(self):
         base = self.write("base.json", perf_doc())

@@ -19,7 +19,6 @@
 #                                       #   5. ASan, UBSan, TSan builds + ctest
 #                                       #   6. alloc-guard leg (below)
 #                                       #   7. sched smoke (below)
-#                                       #   8. serve smoke (below)
 #   scripts/check.sh --alloc-guard [--warn-only]
 #                                       # allocation-discipline leg: build
 #                                       # with -DLMK_ALLOC_GUARD=ON and
@@ -49,19 +48,6 @@
 #                                       # arena high-water, and bytes on the
 #                                       # wire against the committed
 #                                       # bench/BENCH_flagship.baseline.json
-#   scripts/check.sh --serve-smoke [--warn-only]
-#                                       # serving-layer gate: bench_flagship
-#                                       # with LMK_FLAGSHIP_SERVE=1 and
-#                                       # LMK_SERVE_VERIFY=1 (every cache hit
-#                                       # oracle-checked in-line) at
-#                                       # LMK_THREADS=1 and =8, byte-compares
-#                                       # the deterministic sections (serve
-#                                       # sweep included; fails hard even
-#                                       # under --warn-only), then
-#                                       # bench_diff.py --flagship-only runs
-#                                       # the serve gates: digest match, hit-
-#                                       # rate floor, wire-ratio ceiling, and
-#                                       # the 4x-overload p99 win
 #   scripts/check.sh --sched-smoke      # schedule & fault exploration gate:
 #                                       # a small lmk-sched seed swarm must
 #                                       # pass on the clean tree, then a
@@ -207,31 +193,6 @@ run_flagship_smoke() {
     --flagship build-check/BENCH_flagship.smoke.json "$@"
 }
 
-run_serve_smoke() {
-  echo "== check.sh: serve smoke (serving-layer gate) =="
-  cmake -B build-check -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DLMK_WERROR=ON >/dev/null
-  cmake --build build-check -j"$(nproc)" --target bench_flagship >/dev/null
-  # Serve-on sweep, serial and wide: the whole serving tier (cache fill
-  # order, coalescing flushes, shed/retry/drop schedule) runs in virtual
-  # time, so the deterministic section — serve sweep included — must be
-  # byte-identical at any thread count. LMK_SERVE_VERIFY=1 re-solves
-  # every cache hit against the store in-line: a stale hit aborts the
-  # bench rather than passing the gate.
-  LMK_THREADS=1 LMK_FLAGSHIP_SERVE=1 LMK_SERVE_VERIFY=1 \
-    LMK_FLAGSHIP_OUT=build-check/BENCH_flagship.serve.json \
-    LMK_FLAGSHIP_DET_OUT=build-check/serve_det.t1.json \
-    ./build-check/bench/bench_flagship
-  LMK_THREADS=8 LMK_FLAGSHIP_SERVE=1 LMK_SERVE_VERIFY=1 \
-    LMK_FLAGSHIP_OUT=build-check/BENCH_flagship.serve.t8.json \
-    LMK_FLAGSHIP_DET_OUT=build-check/serve_det.t8.json \
-    ./build-check/bench/bench_flagship >/dev/null
-  cmp build-check/serve_det.t1.json build-check/serve_det.t8.json
-  echo "serve smoke: deterministic section byte-identical at 1 and 8 threads"
-  scripts/bench_diff.py --flagship-only \
-    --flagship build-check/BENCH_flagship.serve.json "$@"
-}
-
 run_alloc_guard() {
   echo "== check.sh: alloc-guard leg (LMK_ALLOC_GUARD + LMK_ARENA_GUARD) =="
   # Own build directory: the interposed allocator and the checked arena
@@ -278,13 +239,6 @@ if [ "${1:-}" = "--sched-smoke" ]; then
   exit 0
 fi
 
-if [ "${1:-}" = "--serve-smoke" ]; then
-  shift
-  run_serve_smoke "$@"
-  echo "check.sh: OK (serve smoke)"
-  exit 0
-fi
-
 if [ "${1:-}" = "--audit" ]; then
   run_audit
   echo "check.sh: OK (audit leg, LMK_THREADS=$LMK_THREADS)"
@@ -301,10 +255,8 @@ if [ "${1:-}" = "--all" ]; then
   done
   run_alloc_guard
   run_sched_smoke
-  run_serve_smoke
   echo "check.sh: OK (--all: lint + tidy + plain + audit + asan/ubsan/tsan" \
-       "+ alloc-guard + sched-smoke + serve-smoke," \
-       "LMK_THREADS=$LMK_THREADS)"
+       "+ alloc-guard + sched-smoke, LMK_THREADS=$LMK_THREADS)"
   exit 0
 fi
 

@@ -24,21 +24,7 @@ IndexPlatform::IndexPlatform(Ring& ring, Options opts)
           [this](const RangeQuery& q, ChordNode& n) { on_solve(q, n); },
           [this](std::uint64_t qid, int d) { on_fanout(qid, d); },
           opts.naive_split_depth,
-          [this](std::uint64_t qid, std::uint64_t b) { on_sent(qid, b); }) {
-  // Serving tier (caches / batching / admission): entirely env-driven,
-  // all-off by default so every existing pipeline stays byte-identical.
-  ServeOptions serve_opts = ServeOptions::from_env();
-  if (serve_opts.any_enabled()) set_serve_options(serve_opts);
-}
-
-void IndexPlatform::set_serve_options(const ServeOptions& opts) {
-  if (opts.any_enabled()) {
-    serve_ = std::make_unique<ServeState>(opts);
-  } else {
-    serve_.reset();
-  }
-  router_.set_coalesce_window(opts.coalesce_window);
-}
+          [this](std::uint64_t qid, std::uint64_t b) { on_sent(qid, b); }) {}
 
 std::uint32_t IndexPlatform::register_scheme(const std::string& name,
                                              Boundary boundary, bool rotate) {
@@ -113,12 +99,10 @@ EntryStore& IndexPlatform::entries(const ChordNode& n, std::uint32_t scheme) {
 }
 
 bool IndexPlatform::erase_entry(const ChordNode& n, std::uint32_t scheme,
-                                std::uint64_t object, Id key,
-                                const IndexPoint& point) {
+                                std::uint64_t object, Id key) {
   SchemeStore& ss = scheme_store(n, scheme);
   if (!ss.entries.erase_first(object, key)) return false;
   ss.local.invalidate();
-  serve_invalidate(n, scheme, point);
   return true;
 }
 
@@ -144,12 +128,10 @@ void IndexPlatform::insert(std::uint32_t scheme_id, std::uint64_t object,
     // Unreplicated fast path: no per-insert replica-list allocation.
     ChordNode* owner = ring_.oracle_successor(key);
     entries(*owner, scheme_id).push_back(key, object, point);
-    serve_invalidate(*owner, scheme_id, point);
     return;
   }
   for (ChordNode* node : replica_nodes(key)) {
     entries(*node, scheme_id).push_back(key, object, point);
-    serve_invalidate(*node, scheme_id, point);
   }
 }
 
@@ -169,13 +151,11 @@ void IndexPlatform::bulk_insert(std::uint32_t scheme_id,
       ChordNode* owner = ring_.oracle_successor(keys[i]);
       entries(*owner, scheme_id).push_back(keys[i], first_object + i,
                                            points[i]);
-      serve_invalidate(*owner, scheme_id, points[i]);
       continue;
     }
     for (ChordNode* node : replica_nodes(keys[i])) {
       entries(*node, scheme_id)
           .push_back(keys[i], first_object + i, points[i]);
-      serve_invalidate(*node, scheme_id, points[i]);
     }
   }
 }
@@ -201,12 +181,10 @@ void IndexPlatform::bulk_insert_flat(std::uint32_t scheme_id,
     if (opts_.replication <= 1) {
       ChordNode* owner = ring_.oracle_successor(keys[i]);
       entries(*owner, scheme_id).push_back(keys[i], first_object + i, row);
-      serve_invalidate(*owner, scheme_id, row);
       continue;
     }
     for (ChordNode* node : replica_nodes(keys[i])) {
       entries(*node, scheme_id).push_back(keys[i], first_object + i, row);
-      serve_invalidate(*node, scheme_id, row);
     }
   }
 }
@@ -222,7 +200,6 @@ void IndexPlatform::insert_via_network(ChordNode& origin,
       [this, scheme_id, object, key, point = std::move(point),
        done = std::move(done)](NodeRef owner, int hops) {
         entries(*owner.node, scheme_id).push_back(key, object, point);
-        serve_invalidate(*owner.node, scheme_id, point);
         // Replica propagation: the owner pushes copies down its
         // successor chain (modeled as oracle placement; the one-hop
         // store messages are not part of the paper's cost model).
@@ -230,7 +207,6 @@ void IndexPlatform::insert_via_network(ChordNode& origin,
           for (ChordNode* replica : replica_nodes(key)) {
             if (replica == owner.node) continue;
             entries(*replica, scheme_id).push_back(key, object, point);
-            serve_invalidate(*replica, scheme_id, point);
           }
         }
         if (done) done(hops);
@@ -243,7 +219,7 @@ bool IndexPlatform::remove(std::uint32_t scheme_id, std::uint64_t object,
   Id key = lph_hash(point, sch.boundary) + sch.rotation;
   bool removed = false;
   for (ChordNode* node : replica_nodes(key)) {
-    removed |= erase_entry(*node, scheme_id, object, key, point);
+    removed |= erase_entry(*node, scheme_id, object, key);
   }
   return removed;
 }
@@ -255,12 +231,12 @@ void IndexPlatform::remove_via_network(
   Id key = lph_hash(point, sch.boundary) + sch.rotation;
   ring_.find_successor(
       origin, key,
-      [this, scheme_id, object, key, point = std::move(point),
-       done = std::move(done)](NodeRef owner, int hops) {
+      [this, scheme_id, object, key, done = std::move(done)](NodeRef owner,
+                                                             int hops) {
         (void)owner;  // replica_nodes(key) starts at the owner
         bool removed = false;
         for (ChordNode* replica : replica_nodes(key)) {
-          removed |= erase_entry(*replica, scheme_id, object, key, point);
+          removed |= erase_entry(*replica, scheme_id, object, key);
         }
         if (done) done(removed, hops);
       });
@@ -275,7 +251,6 @@ void IndexPlatform::clear_scheme(std::uint32_t scheme_id) {
       SchemeStore& ss = store.per_scheme[scheme_id];
       ss.entries.clear();
       ss.local.invalidate();
-      serve_wipe(*node, scheme_id);
     }
   }
 }
@@ -330,8 +305,6 @@ void IndexPlatform::region_query(ChordNode& origin, std::uint32_t scheme_id,
   ActiveQuery aq;
   aq.scheme = scheme_id;
   aq.origin = origin.host();
-  aq.origin_node = &origin;
-  aq.origin_inc = origin.incarnation();
   aq.mode = mode;
   aq.t0 = ring_.sim().now();
   aq.outstanding = 1;
@@ -361,113 +334,10 @@ void IndexPlatform::on_sent(std::uint64_t qid, std::uint64_t bytes) {
   it->second.outcome.query_bytes += bytes;
 }
 
-// lmk-hot-path: on_solve + solve_subquery + flush_reply run once per
-// subquery per index node — the per-event cost of the whole query
-// storm. The alloc-guard bench gate holds this region to zero
-// steady-state allocations.
+// lmk-hot-path: on_solve + flush_reply run once per subquery per index
+// node — the per-event cost of the whole query storm. The alloc-guard
+// bench gate holds this region to zero steady-state allocations.
 void IndexPlatform::on_solve(const RangeQuery& q, ChordNode& node) {
-  if (serve_ == nullptr) {
-    solve_subquery(q, node);
-    return;
-  }
-  const ServeOptions& so = serve_->options();
-  if (!so.admission_on() && so.service_time <= 0) {
-    solve_subquery(q, node);
-    return;
-  }
-  ServeState::NodeServe& ns = serve_->node(node.host());
-  if (so.admission_on() && ns.queue >= so.queue_limit) {
-    // Overloaded. Tree routing can re-inject a bounced subquery at the
-    // origin (it re-routes to wherever the region now lives); the naive
-    // client-side splitter cannot, so it always force-admits.
-    if (opts_.routing == RoutingMode::kTree) {
-      if (q.retries < so.max_retries) {
-        shed_subquery(q, node);
-        return;
-      }
-      // Retry budget exhausted and the node is still saturated: drop
-      // the subquery — load shedding proper. The fanout tracker
-      // completes the query with the loss recorded in lost_subqueries,
-      // trading recall for a bounded tail under sustained overload (a
-      // work-conserving forced admit could never lower the tail: the
-      // queue wait it pays is exactly what shedding exists to avoid).
-      serve_->stats().dropped += 1;
-      on_fanout(q.qid, -1);
-      return;
-    }
-    serve_->stats().forced_admits += 1;
-  }
-  if (so.service_time <= 0) {
-    // Admission threshold without a service model: the queue gauge
-    // never builds (solves are instantaneous), so just solve.
-    solve_subquery(q, node);
-    return;
-  }
-  // Modeled solve occupancy: the subquery waits for the node's
-  // single-server queue, then solves when its service slot ends.
-  ns.queue += 1;
-  ns.peak_queue = std::max(ns.peak_queue, ns.queue);
-  serve_->stats().enqueued += 1;
-  const SimTime now = ring_.sim().now();
-  const SimTime start = std::max(now, ns.busy_until);
-  ns.busy_until = start + so.service_time;
-  ChordNode* node_ptr = &node;
-  const std::uint32_t inc = node.incarnation();
-  ring_.sim().schedule_at(
-      ns.busy_until,
-      // lmk-lint: allow(hot-alloc) per-queued-subquery closure copy
-      [this, copy = q, node_ptr, inc]() mutable {
-        ServeState::NodeServe& slot = serve_->node(node_ptr->host());
-        LMK_CHECK(slot.queue > 0);
-        slot.queue -= 1;
-        if (node_ptr->alive() && node_ptr->incarnation() == inc) {
-          solve_subquery(copy, *node_ptr);
-        } else {
-          // The node died holding the queue: the subquery is lost, the
-          // completion tracker still terminates the query.
-          on_fanout(copy.qid, -1);
-        }
-      },
-      node.host());
-}
-
-void IndexPlatform::shed_subquery(const RangeQuery& q, ChordNode& node) {
-  auto it = active_.find(q.qid);
-  LMK_CHECK(it != active_.end());
-  ActiveQuery& aq = it->second;
-  aq.outcome.shed += 1;
-  ServeStats& stats = serve_->stats();
-  stats.shed += 1;
-  RangeQuery retry = q;
-  retry.retries += 1;
-  // Deterministic exponential backoff: base << (retries - 1), capped so
-  // the shift cannot overflow.
-  const SimTime delay = serve_->options().backoff
-                        << std::min(retry.retries - 1, 16);
-  ChordNode* origin = aq.origin_node;
-  const std::uint32_t origin_inc = aq.origin_inc;
-  stats.retries += 1;
-  (void)node;
-  // The retry-after timer runs at the origin (the overloaded node just
-  // answers "busy"); tagged with the origin host accordingly.
-  ring_.sim().schedule_after(
-      delay,
-      // lmk-lint: allow(hot-alloc) per-shed retry closure
-      [this, retry = std::move(retry), origin, origin_inc]() mutable {
-        if (origin != nullptr && origin->alive() &&
-            origin->incarnation() == origin_inc) {
-          // The subquery is still registered with the outstanding
-          // tracker (no fanout +1): routing simply starts over.
-          router_.start(*origin, std::move(retry));
-        } else {
-          serve_->stats().retry_drops += 1;
-          on_fanout(retry.qid, -1);
-        }
-      },
-      aq.origin);
-}
-
-void IndexPlatform::solve_subquery(const RangeQuery& q, ChordNode& node) {
   auto it = active_.find(q.qid);
   LMK_CHECK(it != active_.end());
   ActiveQuery& aq = it->second;
@@ -490,85 +360,18 @@ void IndexPlatform::solve_subquery(const RangeQuery& q, ChordNode& node) {
     reply.pooled = true;
   }
   std::uint64_t evaluated = 0;
-  bool cache_hit = false;
-  ResultCache* cache = nullptr;
-  if (serve_ != nullptr && serve_->options().cache_on()) {
-    cache = &serve_->cache(node.host(), aq.scheme);
-    std::span<const std::uint64_t> cobjs;
-    std::span<const double> ccoords;
-    std::size_t cdims = 0;
-    if (cache->probe(q.region, ring_.sim().now(), &cobjs, &ccoords, &cdims)) {
-      // Hot-result hit: the cached hit-list is the region's exact match
-      // set (coverage invalidation guarantees no mutation touched the
-      // region since the fill). Scores are recomputed against THIS
-      // query's rank/focus — different queries share a region without
-      // sharing a focus. The store is never probed: scanned += 0.
-      cache_hit = true;
-      if (serve_->options().verify_hits) {
-        // Oracle cross-check (LMK_SERVE_VERIFY): a brute-force scan of
-        // the node's rows must find exactly the cached ids. The scan
-        // bypasses the LocalStore so verifying never moves its rebuild
-        // schedule.
-        const EntryStore& es = scheme_store(node, aq.scheme).entries;
-        verify_objs_.clear();
-        verify_objs_.reserve(es.size());
-        for (std::size_t i = 0; i < es.size(); ++i) {
-          if (linf_box_distance(es.point(i), q.region) == 0.0) {
-            verify_objs_.push_back(es.object(i));
-          }
-        }
-        std::sort(verify_objs_.begin(), verify_objs_.end());
-        cache_objs_.assign(cobjs.begin(), cobjs.end());
-        std::sort(cache_objs_.begin(), cache_objs_.end());
-        LMK_CHECK_MSG(cache_objs_ == verify_objs_,
-                      "stale result cache hit: cached ids diverge from a "
-                      "fresh solve (coverage invalidation bug)");
-        serve_->stats().verified_hits += 1;
-      }
-      for (std::size_t i = 0; i < cobjs.size(); ++i) {
-        std::span<const double> pt = ccoords.subspan(i * cdims, cdims);
-        ++evaluated;
-        const std::uint64_t object = cobjs[i];
-        double score =
-            aq.rank ? aq.rank(object) : index_lower_bound(pt, q.focus);
-        // lmk-lint: allow(hot-alloc) pooled-buffer capacity warmup
-        reply.scored.emplace_back(score, object);
-      }
-      aq.outcome.cache_hits += 1;
-    }
-  }
-  if (!cache_hit) {
-    SchemeStore& ss = scheme_store(node, aq.scheme);
-    solve_hits_.clear();
-    aq.outcome.scanned += ss.local.range(ss.entries, q.region, solve_hits_);
-    for (const std::uint32_t ei : solve_hits_) {
-      std::span<const double> pt = ss.entries.point(ei);
-      ++evaluated;
-      std::uint64_t object = ss.entries.object(ei);
-      double score =
-          aq.rank ? aq.rank(object) : index_lower_bound(pt, q.focus);
-      // Pooled buffer (reply_pool_): capacity survives release/acquire,
-      // so steady-state query traffic grows nothing.
-      // lmk-lint: allow(hot-alloc) pooled-buffer capacity warmup
-      reply.scored.emplace_back(score, object);
-    }
-    if (cache != nullptr) {
-      // Fill-on-miss: gather the hit-list into flat scratch (copies —
-      // extract_if compacts the SoA store, indices held across
-      // mutations would dangle) and hand it to the cache.
-      const std::size_t dims = q.scheme->dims();
-      cache_objs_.clear();
-      cache_objs_.reserve(solve_hits_.size());
-      cache_coords_.clear();
-      cache_coords_.reserve(solve_hits_.size() * dims);
-      for (const std::uint32_t ei : solve_hits_) {
-        cache_objs_.push_back(ss.entries.object(ei));
-        std::span<const double> pt = ss.entries.point(ei);
-        cache_coords_.insert(cache_coords_.end(), pt.begin(), pt.end());
-      }
-      cache->insert(q.region, ring_.sim().now(), cache_objs_, cache_coords_,
-                    dims);
-    }
+  SchemeStore& ss = scheme_store(node, aq.scheme);
+  solve_hits_.clear();
+  aq.outcome.scanned += ss.local.range(ss.entries, q.region, solve_hits_);
+  for (const std::uint32_t ei : solve_hits_) {
+    std::span<const double> pt = ss.entries.point(ei);
+    ++evaluated;
+    std::uint64_t object = ss.entries.object(ei);
+    double score = aq.rank ? aq.rank(object) : index_lower_bound(pt, q.focus);
+    // Pooled buffer (reply_pool_): capacity survives release/acquire,
+    // so steady-state query traffic grows nothing.
+    // lmk-lint: allow(hot-alloc) pooled-buffer capacity warmup
+    reply.scored.emplace_back(score, object);
   }
 
   aq.outcome.subqueries += 1;
@@ -707,10 +510,6 @@ void IndexPlatform::drain_all(ChordNode& from, ChordNode& to) {
     dst.per_scheme[s].entries.append_moved(src.per_scheme[s].entries);
     src.per_scheme[s].local.invalidate();
     dst.per_scheme[s].local.invalidate();
-    // Bulk move: per-point cover tests would scan everything anyway,
-    // so both ends' caches are wiped wholesale.
-    serve_wipe(from, static_cast<std::uint32_t>(s));
-    serve_wipe(to, static_cast<std::uint32_t>(s));
   }
 }
 
@@ -723,8 +522,6 @@ void IndexPlatform::transfer_owned(ChordNode& from, ChordNode& to) {
   for (std::size_t s = 0; s < src.per_scheme.size(); ++s) {
     src.per_scheme[s].local.invalidate();
     dst.per_scheme[s].local.invalidate();
-    serve_wipe(from, static_cast<std::uint32_t>(s));
-    serve_wipe(to, static_cast<std::uint32_t>(s));
     // Stable extraction: entries `to` now owns move over in store
     // order, survivors compact in place. (The old vector store used an
     // unstable std::partition here; store order never reaches query
@@ -900,7 +697,6 @@ void IndexPlatform::repair_replication() {
       // node reviving later must not resurrect stale data.
       store.per_scheme[sc].entries.clear();
       store.per_scheme[sc].local.invalidate();
-      serve_wipe(*node, static_cast<std::uint32_t>(sc));
     }
   }
   for (std::size_t sc = 0; sc < per_scheme.size(); ++sc) {

@@ -29,7 +29,6 @@
 #include "core/entry_store.hpp"
 #include "routing/naive.hpp"
 #include "routing/router.hpp"
-#include "serve/serve.hpp"
 #include "store/local_store.hpp"
 
 namespace lmk {
@@ -89,11 +88,6 @@ class IndexPlatform {
     /// stale one scans every row (src/store/local_store.hpp).
     std::uint64_t scanned = 0;
     int lost_subqueries = 0;     ///< dropped by churn (0 in steady state)
-    /// Serving-layer accounting (0 with the serving tier off): subquery
-    /// solves answered from a node's hot-result cache, and admission-
-    /// control bounces this query absorbed before completing.
-    std::uint64_t cache_hits = 0;
-    std::uint64_t shed = 0;
     bool complete = false;
   };
 
@@ -235,26 +229,6 @@ class IndexPlatform {
     return reply_pool_.stats();
   }
 
-  // ----- serving layer (src/serve/) -----
-
-  /// Reconfigure the serving tier: result caches, router coalescing
-  /// window, and admission control. Enabling any knob instantiates the
-  /// per-node ServeState; a fully-disabled options struct tears it down
-  /// (dropping caches and counters — benches use this between rungs).
-  /// The constructor applies ServeOptions::from_env(), so the LMK_SERVE_*
-  /// environment switches the tier on without code changes.
-  void set_serve_options(const ServeOptions& opts);
-
-  /// The live serving state, or nullptr with the tier off.
-  [[nodiscard]] const ServeState* serve_state() const { return serve_.get(); }
-
-  /// Cross-query batching gauge: episodes merged into an already-open
-  /// coalescing window (each one a message the per-episode flush would
-  /// have sent on its own).
-  [[nodiscard]] std::uint64_t coalesced_messages() const {
-    return router_.coalesced_messages();
-  }
-
   // ----- load & migration (used by LoadBalancer and benches) -----
 
   /// Entries stored on `n` summed over schemes (the paper's load value).
@@ -299,9 +273,6 @@ class IndexPlatform {
   /// code must go through insert/remove/transfer.
   [[nodiscard]] EntryStore& mutable_store(const ChordNode& n,
                                           std::uint32_t scheme) {
-    // Out-of-band mutation: nothing reports the touched points, so the
-    // node's result cache can only be wiped wholesale.
-    serve_wipe(n, scheme);
     return entries(n, scheme);
   }
 
@@ -336,11 +307,6 @@ class IndexPlatform {
   struct ActiveQuery {
     std::uint32_t scheme = 0;
     HostId origin = 0;
-    /// The issuing node, pinned by incarnation — the admission
-    /// controller's shed/retry protocol re-injects bounced subqueries
-    /// here (and drops them if the origin departed).
-    ChordNode* origin_node = nullptr;
-    std::uint32_t origin_inc = 0;
     ReplyMode mode = ReplyMode::kAllMatches;
     SimTime t0 = 0;
     int outstanding = 0;
@@ -374,30 +340,11 @@ class IndexPlatform {
   /// come through here, or invalidate it themselves.
   EntryStore& entries(const ChordNode& n, std::uint32_t scheme);
   /// Erase one copy of (object, key) from `n`'s store. Only a successful
-  /// erase invalidates the local store and the result cache.
+  /// erase invalidates the local store.
   bool erase_entry(const ChordNode& n, std::uint32_t scheme,
-                   std::uint64_t object, Id key, const IndexPoint& point);
-  /// Serving-tier dispatcher: admission control and queueing in front
-  /// of the actual solve. With the tier off it is a tail call into
-  /// solve_subquery — byte-identical to the pre-serve behavior.
+                   std::uint64_t object, Id key);
+  /// The local solve: store probe, scoring, reply staging.
   void on_solve(const RangeQuery& q, ChordNode& node);
-  /// The local solve proper (cache probe, store probe, reply staging).
-  void solve_subquery(const RangeQuery& q, ChordNode& node);
-  /// Bounce an over-admission subquery back to its origin for a
-  /// backed-off retry (deterministic exponential backoff).
-  void shed_subquery(const RangeQuery& q, ChordNode& node);
-  /// Coverage invalidation fan-in for one (node, scheme, point) insert
-  /// or removal; no-op with the serving tier off (inline so the bulk
-  /// load paths pay one predictable branch).
-  void serve_invalidate(const ChordNode& n, std::uint32_t scheme,
-                        std::span<const double> point) {
-    if (serve_ != nullptr) serve_->invalidate_point(n.host(), scheme, point);
-  }
-  /// Conservative per-(node, scheme) cache wipe for bulk mutations
-  /// (drain, transfer, clear, replication repair, fault injection).
-  void serve_wipe(const ChordNode& n, std::uint32_t scheme) {
-    if (serve_ != nullptr) serve_->invalidate_scheme(n.host(), scheme);
-  }
   void flush_reply(std::uint64_t qid, ChordNode& node);
   void on_fanout(std::uint64_t qid, int delta);
   void on_sent(std::uint64_t qid, std::uint64_t bytes);
@@ -425,14 +372,6 @@ class IndexPlatform {
   QueryRouter router_;
   NaiveRouter naive_;
   TrafficCounter result_traffic_;
-  /// Serving tier (nullptr = off, the default: fig pipelines must stay
-  /// byte-identical). See src/serve/serve.hpp for the knobs.
-  std::unique_ptr<ServeState> serve_;
-  /// Gather scratch for cache fills (object ids + flat coords of the
-  /// current solve's hits) and for LMK_SERVE_VERIFY re-solves.
-  std::vector<std::uint64_t> cache_objs_;
-  std::vector<double> cache_coords_;
-  std::vector<std::uint64_t> verify_objs_;
   /// Recycles the scored-candidate buffers of in-flight replies: one
   /// acquire per (query, node) reply, released when the reply ships.
   RecyclePool<std::vector<std::pair<double, std::uint64_t>>> reply_pool_;

@@ -86,10 +86,8 @@ void clamp_region(Region& region, const Boundary& boundary);
 [[nodiscard]] Region query_region(const IndexPoint& center, double radius);
 
 /// L∞ distance from `point` to the axis-aligned box (0 for any point
-/// inside it, closed-interval semantics). Used by the serving layer's
-/// coverage-based cache invalidation (src/serve/): a mutated entry
-/// whose point is at distance 0 from a cached query region covers it,
-/// so the cached hit-list must be dropped.
+/// inside it, closed-interval semantics). The brute-force membership
+/// test that store_test and bench_perf check LocalStore probes against.
 [[nodiscard]] inline double linf_box_distance(std::span<const double> point,
                                               const Region& box) {
   double dist = 0.0;

@@ -54,10 +54,6 @@ struct RangeQuery {
   Region region;               ///< clamped region, inside the prefix cuboid
   Prefix prefix;               ///< enclosing-cuboid code + valid length
   int hops = 0;                ///< network hops taken so far
-  /// Admission-control bounce count (serving layer): how many times an
-  /// overloaded index node shed this subquery back to its origin for a
-  /// backed-off retry. At the retry ceiling the node admits it anyway.
-  int retries = 0;
   /// The query's index point (unclamped) — index nodes rank their local
   /// candidates by L∞ distance to it when answering in top-k mode.
   IndexPoint focus;

@@ -61,123 +61,47 @@ void QueryRouter::flush(ChordNode& from) {
     }
     box = std::move(rest);
 
-    if (window_ <= 0) {
-      ship(&from, from.incarnation(), target, std::move(batch));
-      continue;
-    }
-    // Coalescing window: hold the group at the sender; the first group
-    // for a (sender, target) pair opens the window and schedules its
-    // expiry, later groups (this or other queries) pile in for free.
-    PendingBatch* pending = nullptr;
-    for (PendingBatch& pb : pending_) {
-      if (pb.from == &from && pb.target == target) {
-        pending = &pb;
-        break;
-      }
-    }
-    if (pending == nullptr) {
-      pending_.emplace_back();
-      pending = &pending_.back();
-      pending->from = &from;
-      pending->from_inc = from.incarnation();
-      pending->target = target;
-      // Node-local coalescing timer: the sender holds its own outbox
-      // for Δt; no inter-node effect until the expiry goes through
-      // Network::send in ship().
-      // lmk-lint: allow(raw-schedule)
-      ring_.sim().schedule_after(
-          window_, [this, f = &from, t = target]() { ship_pending(f, t); },
-          from.host());
-    }
-    pending->episodes += 1;
+    // An episode handles one incoming message (or one injection), so
+    // every parcel in the batch belongs to one query, which pays for
+    // the whole message.
+    const SchemeRouting& scheme = *batch.front().q.scheme;
+    std::uint64_t bytes =
+        query_message_size(scheme.dims(), batch.size());
     for (Parcel& p : batch) {
-      pending->parcels.push_back(std::move(p));
+      LMK_CHECK(p.q.qid == batch.front().q.qid);
+      p.q.hops += 1;
+      LMK_CHECK(p.q.hops <= hop_limit_);
     }
-  }
-}
+    if (sent_) sent_(batch.front().q.qid, bytes);
 
-void QueryRouter::ship_pending(ChordNode* from, ChordNode* target) {
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    if (pending_[i].from != from || pending_[i].target != target) continue;
-    PendingBatch pb = std::move(pending_[i]);
-    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-    if (pb.episodes > 1) coalesced_messages_ += pb.episodes - 1;
-    if (!from->alive() || from->incarnation() != pb.from_inc) {
-      // The sender departed while holding the window: its buffered
-      // parcels go down with it, exactly like unsent outbox state on a
-      // real node. Completion accounting still terminates every query.
-      for (Parcel& p : pb.parcels) fanout_(p.q.qid, -1);
-      return;
-    }
-    ship(from, pb.from_inc, target, std::move(pb.parcels));
-    return;
+    ChordNode* sender = &from;
+    std::uint32_t sender_inc = from.incarnation();
+    std::uint32_t target_inc = target->incarnation();
+    ring_.net().send(
+        from.host(), target->host(), bytes,
+        [this, target, target_inc, sender, sender_inc,
+         batch = std::move(batch)]() mutable {
+          if (target->alive() && target->incarnation() == target_inc) {
+            episode(*target, [&]() {
+              for (Parcel& p : batch) process(*target, std::move(p));
+            });
+            return;
+          }
+          // The target departed (or rejoined under a new identifier)
+          // while the message was in flight. Retry from the sender,
+          // whose stale routing entry is now detectably invalid.
+          if (sender->alive() && sender->incarnation() == sender_inc) {
+            episode(*sender, [&]() {
+              for (Parcel& p : batch) {
+                query_routing(*sender, std::move(p.q));
+              }
+            });
+          } else {
+            for (Parcel& p : batch) fanout_(p.q.qid, -1);
+          }
+        },
+        &traffic_);
   }
-  // Window expired after the batch already shipped (cannot happen with
-  // one expiry event per batch) — tolerated as a no-op.
-}
-
-void QueryRouter::ship(ChordNode* from, std::uint32_t from_inc,
-                       ChordNode* target, std::vector<Parcel> batch) {
-  LMK_CHECK(!batch.empty());
-  // One wire message for the whole group, sized by the paper's model:
-  // one 24-byte header plus (4k+9) bytes per subquery. With the
-  // coalescing window the group can span queries (and schemes), so
-  // bytes are attributed per qid — each query pays for its own
-  // subqueries, the header is charged to the first parcel's query (the
-  // one whose flush opened the message).
-  std::uint64_t bytes = query_message_size(batch.front().q.scheme->dims(), 0);
-  qid_bytes_.clear();
-  for (Parcel& p : batch) {
-    const std::size_t k = p.q.scheme->dims();
-    const std::uint64_t sub = query_message_size(k, 1) - query_message_size(k, 0);
-    bytes += sub;
-    std::uint64_t* acc = nullptr;
-    for (auto& [qid, b] : qid_bytes_) {
-      if (qid == p.q.qid) {
-        acc = &b;
-        break;
-      }
-    }
-    if (acc == nullptr) {
-      qid_bytes_.emplace_back(p.q.qid, 0);
-      acc = &qid_bytes_.back().second;
-    }
-    *acc += sub;
-    p.q.hops += 1;
-    LMK_CHECK(p.q.hops <= hop_limit_);
-  }
-  qid_bytes_.front().second += query_message_size(batch.front().q.scheme->dims(), 0);
-  if (sent_) {
-    for (const auto& [qid, b] : qid_bytes_) sent_(qid, b);
-  }
-
-  ChordNode* sender = from;
-  std::uint32_t sender_inc = from_inc;
-  std::uint32_t target_inc = target->incarnation();
-  ring_.net().send(
-      from->host(), target->host(), bytes,
-      [this, target, target_inc, sender, sender_inc,
-       batch = std::move(batch)]() mutable {
-        if (target->alive() && target->incarnation() == target_inc) {
-          episode(*target, [&]() {
-            for (Parcel& p : batch) process(*target, std::move(p));
-          });
-          return;
-        }
-        // The target departed (or rejoined under a new identifier)
-        // while the message was in flight. Retry from the sender,
-        // whose stale routing entry is now detectably invalid.
-        if (sender->alive() && sender->incarnation() == sender_inc) {
-          episode(*sender, [&]() {
-            for (Parcel& p : batch) {
-              query_routing(*sender, std::move(p.q));
-            }
-          });
-        } else {
-          for (Parcel& p : batch) fanout_(p.q.qid, -1);
-        }
-      },
-      &traffic_);
 }
 
 void QueryRouter::process(ChordNode& at, Parcel parcel) {

@@ -72,36 +72,11 @@ class QueryRouter {
   /// aborts (indicates a routing-logic bug; default 512).
   void set_hop_limit(int limit) { hop_limit_ = limit; }
 
-  /// Cross-query coalescing window Δt (serving layer): with a non-zero
-  /// window, parcels bound for the same next hop accumulate at the
-  /// sender for Δt of virtual time and ship as ONE message — across
-  /// queries, not just within one processing episode — trading latency
-  /// for bytes under the paper's n-subqueries-per-message model. 0
-  /// (default) keeps the per-episode flush byte-identical to before.
-  void set_coalesce_window(SimTime window) { window_ = window; }
-
-  /// Messages whose parcels came from more than one coalesced episode
-  /// (each one is a message the per-episode flush would have sent).
-  [[nodiscard]] std::uint64_t coalesced_messages() const {
-    return coalesced_messages_;
-  }
-
  private:
   /// One batched subquery en route to a node.
   struct Parcel {
     RangeQuery q;
     bool to_surrogate;
-  };
-
-  /// Parcels accumulating at `from` for `target` during a coalescing
-  /// window; `from_inc` pins the sender incarnation at window start so
-  /// the retry path never resurrects a rejoined node's state.
-  struct PendingBatch {
-    ChordNode* from = nullptr;
-    std::uint32_t from_inc = 0;
-    ChordNode* target = nullptr;
-    std::vector<Parcel> parcels;
-    std::uint64_t episodes = 0;  ///< flushes merged into this batch
   };
 
   void query_routing(ChordNode& at, RangeQuery q);
@@ -116,29 +91,15 @@ class QueryRouter {
   void episode(ChordNode& at, Fn&& work);
   void flush(ChordNode& from);
 
-  /// Ship one grouped batch from `from` (pinned at `from_inc`) to
-  /// `target` as a single message, with per-qid byte attribution and
-  /// the in-flight incarnation-guarded retry.
-  void ship(ChordNode* from, std::uint32_t from_inc, ChordNode* target,
-            std::vector<Parcel> batch);
-
-  /// Window expiry for the (from, target) pending batch.
-  void ship_pending(ChordNode* from, ChordNode* target);
-
   Ring& ring_;
   SolveFn solve_;
   FanoutFn fanout_;
   SentFn sent_;
   TrafficCounter traffic_;
   int hop_limit_ = 512;
-  SimTime window_ = 0;
-  std::uint64_t coalesced_messages_ = 0;
 
   bool in_episode_ = false;
   std::vector<std::pair<NodeRef, Parcel>> outbox_;
-  std::vector<PendingBatch> pending_;
-  /// ship() scratch: (qid, bytes) attribution in first-appearance order.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> qid_bytes_;
 };
 
 }  // namespace lmk

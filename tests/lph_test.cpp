@@ -250,6 +250,22 @@ TEST(RegionIntersectsCuboid, BasicOverlap) {
   EXPECT_FALSE(region_intersects_cuboid(far, Prefix{k, 2}, b));
 }
 
+Region box2(double lo, double hi) {
+  return Region{{Interval{lo, hi}, Interval{lo, hi}}};
+}
+
+TEST(LinfBoxDistance, ZeroInsidePositiveOutside) {
+  Region r = box2(0.2, 0.4);
+  const double inside[] = {0.3, 0.3};
+  const double edge[] = {0.4, 0.2};
+  const double outside[] = {0.5, 0.3};
+  EXPECT_EQ(linf_box_distance(inside, r), 0.0);
+  EXPECT_EQ(linf_box_distance(edge, r), 0.0);  // closed intervals
+  EXPECT_DOUBLE_EQ(linf_box_distance(outside, r), 0.1);
+  const double corner[] = {0.5, 0.55};
+  EXPECT_DOUBLE_EQ(linf_box_distance(corner, r), 0.15);
+}
+
 // Property: hashing a uniform sample and grouping by a short prefix
 // spreads points across all cuboids of that depth (no systematic holes).
 TEST(LphHash, UniformSampleCoversShallowCuboids) {

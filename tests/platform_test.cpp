@@ -1,11 +1,16 @@
-// Platform-level semantics: dynamic updates (insert/remove), scheme
-// lifecycle (clear, boundary update), reply batching, ranking behaviour
-// and memoization, and the message byte model under batching.
+// Platform-level semantics: dynamic updates (insert/remove, bulk moves)
+// checked against a brute-force oracle, scheme lifecycle (clear,
+// boundary update), reply batching, ranking behaviour and memoization,
+// and the message byte model under batching.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <vector>
 
 #include "core/index_platform.hpp"
 
@@ -121,6 +126,107 @@ TEST(PlatformUpdates, InterleavedInsertRemoveQueryStaysExact) {
   }
 }
 
+/// Randomized insert/remove/migration trace with interleaved queries
+/// against a rotated scheme: every query's result set must equal the
+/// brute-force oracle id-for-id through single inserts and removes,
+/// drain_all + transfer_owned and repair_replication, whether the local
+/// stores answer by stale-row scans or from rebuilt order indices.
+TEST(PlatformUpdates, RandomizedMutationTraceMatchesOracle) {
+  Stack s(24, 7);
+  // rotate=true: queries live in index space while placement is
+  // rotated — the invalidation plumbing must respect both.
+  auto scheme =
+      s.platform->register_scheme("trace", uniform_boundary(2, 0, 1), true);
+
+  Rng rng(99);
+  std::map<std::uint64_t, IndexPoint> shadow;
+  std::uint64_t next_id = 0;
+  auto random_point = [&]() { return IndexPoint{rng.uniform(), rng.uniform()}; };
+  auto random_region = [&]() {
+    const double cx = rng.uniform();
+    const double cy = rng.uniform();
+    const double r = 0.05 + 0.25 * rng.uniform();
+    Region reg{{Interval{std::max(0.0, cx - r), std::min(1.0, cx + r)},
+                Interval{std::max(0.0, cy - r), std::min(1.0, cy + r)}}};
+    return reg;
+  };
+  auto check_query = [&](const Region& reg) {
+    auto outcome = s.query_all(scheme, reg);
+    ASSERT_TRUE(outcome.has_value());
+    ASSERT_TRUE(outcome->complete);
+    std::set<std::uint64_t> got(outcome->results.begin(),
+                                outcome->results.end());
+    std::set<std::uint64_t> want;
+    for (const auto& [id, pt] : shadow) {
+      bool inside = true;
+      for (std::size_t d = 0; d < 2; ++d) {
+        if (pt[d] < reg.ranges[d].lo || pt[d] > reg.ranges[d].hi) {
+          inside = false;
+          break;
+        }
+      }
+      if (inside) want.insert(id);
+    }
+    ASSERT_EQ(got, want);
+  };
+
+  for (int i = 0; i < 60; ++i) {
+    shadow.emplace(next_id, random_point());
+    s.platform->insert(scheme, next_id, shadow.at(next_id));
+    ++next_id;
+  }
+  // A few fixed regions re-queried every round: their repeated probes
+  // pay for index rebuilds (see the check at the end).
+  std::vector<Region> hot;
+  for (int i = 0; i < 4; ++i) hot.push_back(random_region());
+
+  for (int round = 0; round < 12; ++round) {
+    // Mutate: inserts, removes, and occasionally a bulk move.
+    for (int i = 0; i < 5; ++i) {
+      shadow.emplace(next_id, random_point());
+      s.platform->insert(scheme, next_id, shadow.at(next_id));
+      ++next_id;
+    }
+    if (!shadow.empty() && round % 2 == 0) {
+      auto victim = shadow.begin();
+      std::advance(victim, static_cast<long>(rng.below(shadow.size())));
+      ASSERT_TRUE(s.platform->remove(scheme, victim->first, victim->second));
+      shadow.erase(victim);
+    }
+    if (round % 4 == 3) {
+      // Migration-shaped bulk moves, each followed by queries: a node
+      // departs gracefully (drain_all onto its successor), then rejoins
+      // at the same identifier and pulls back what it owns
+      // (transfer_owned). The queries in between probe the successor
+      // after it took the drained rows, so a drain that skipped its
+      // invalidation answers from order indices that miss them.
+      auto nodes = s.ring->alive_nodes();
+      ChordNode* a = nodes[rng.below(nodes.size())];
+      ChordNode* succ = s.ring->oracle_successor(a->id() + 1);
+      const Id id = a->id();
+      s.platform->drain_all(*a, *succ);
+      s.ring->leave(*a);
+      s.ring->refresh_all_fingers();
+      s.platform->check_placement_invariant();
+      for (const Region& reg : hot) check_query(reg);
+      s.ring->rejoin(*a, id);
+      s.ring->refresh_all_fingers();
+      s.platform->transfer_owned(*succ, *a);
+      s.platform->check_placement_invariant();
+    }
+    if (round == 7) {
+      s.platform->repair_replication();  // global rebuild of every store
+    }
+    for (const Region& reg : hot) check_query(reg);
+    check_query(random_region());
+  }
+  // More builds than stores: rebuilds deferred past writes ran, so the
+  // oracle also checked answers from rebuilt indices.
+  EXPECT_GT(s.platform->local_store_stats().rebuilds,
+            s.ring->alive_nodes().size())
+      << "trace never reached a deferred rebuild";
+}
+
 TEST(PlatformScheme, ClearSchemeLeavesOthersIntact) {
   Stack s(8, 6);
   auto a = s.platform->register_scheme("a", uniform_boundary(1, 0, 1), false);
@@ -131,10 +237,23 @@ TEST(PlatformScheme, ClearSchemeLeavesOthersIntact) {
     s.platform->insert(b, static_cast<std::uint64_t>(i),
                        IndexPoint{0.1 + i * 0.01});
   }
+  const Region whole{{Interval{0, 1}}};
+  // Probe scheme a first, so its stores are built before the clear.
+  auto before = s.query_all(a, whole);
+  ASSERT_TRUE(before.has_value());
+  EXPECT_EQ(before->results.size(), 30u);
   s.platform->clear_scheme(a);
   EXPECT_EQ(s.platform->scheme_entries(a), 0u);
   EXPECT_EQ(s.platform->scheme_entries(b), 30u);
   EXPECT_EQ(s.platform->total_entries(), 30u);
+  // Queries agree: the cleared scheme answers empty, the other in full.
+  auto cleared = s.query_all(a, whole);
+  ASSERT_TRUE(cleared.has_value());
+  EXPECT_TRUE(cleared->complete);
+  EXPECT_TRUE(cleared->results.empty());
+  auto intact = s.query_all(b, whole);
+  ASSERT_TRUE(intact.has_value());
+  EXPECT_EQ(intact->results.size(), 30u);
 }
 
 TEST(PlatformScheme, BoundaryUpdateRequiresEmptyStoreAndSameDims) {
@@ -248,6 +367,26 @@ TEST(PlatformTraffic, CountersSeparateQueryAndResultAndMaintenance) {
   // Network total covers everything.
   EXPECT_GE(s.net.total_traffic().bytes,
             outcome->query_bytes + outcome->result_bytes);
+
+  // Concurrent queries from one origin: every query message carries one
+  // query's subqueries, so the outcomes' query bytes sum to the counter.
+  const std::uint64_t q1 = s.platform->query_traffic().bytes;
+  std::uint64_t summed = 0;
+  int completed = 0;
+  ChordNode& origin = *s.ring->alive_nodes()[0];
+  for (int i = 0; i < 12; ++i) {
+    s.platform->region_query(
+        origin, scheme, Region{{Interval{0.3, 0.62}}}, IndexPoint{0.46},
+        ReplyMode::kAllMatches, [&](const IndexPlatform::QueryOutcome& o) {
+          EXPECT_TRUE(o.complete);
+          summed += o.query_bytes;
+          ++completed;
+        });
+  }
+  s.sim.run();
+  EXPECT_EQ(completed, 12);
+  EXPECT_GT(summed, 0u);
+  EXPECT_EQ(s.platform->query_traffic().bytes - q1, summed);
 }
 
 TEST(PlatformQueries, ActiveQueriesDrainToZero) {
