@@ -13,17 +13,15 @@
 //   - "deterministic": everything derived from virtual time and the
 //     seeds — latency percentiles (p50/p99/p999 exact + P² streaming
 //     estimates), per-node reply-queue depth, bytes on the wire,
-//     sampled recall, arena/store/pool memory counters. Byte-identical
+//     sampled recall, store/pool memory counters. Byte-identical
 //     for any LMK_THREADS; CI compares this section across thread
 //     counts (LMK_FLAGSHIP_DET_OUT writes it to its own file).
 //   - "wallclock": build/oracle/drain wall times and rates for this
 //     machine (regression-gated loosely by scripts/bench_diff.py).
 //
-// Scale: defaults are a smoke configuration that finishes in seconds;
+// Scale: the default is a smoke configuration that finishes in seconds;
 // LMK_FULL=1 selects the flagship 10000-node / 1,000,000-object run.
-// Individual knobs: LMK_FLAGSHIP_NODES, LMK_FLAGSHIP_OBJECTS,
-// LMK_FLAGSHIP_DIMS, LMK_FLAGSHIP_ARRIVALS, LMK_FLAGSHIP_RATE,
-// LMK_FLAGSHIP_RANGE, LMK_FLAGSHIP_RECALL, LMK_SAMPLE, LMK_SEED.
+// LMK_SAMPLE and LMK_SEED override the landmark sample and the seed.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -35,18 +33,11 @@
 
 #include "bench_common.hpp"
 #include "common/alloc_guard.hpp"
-#include "common/arena.hpp"
 #include "common/stats.hpp"
 #include "workload/open_loop.hpp"
 
 namespace lmk::bench {
 namespace {
-
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::strtod(v, nullptr);
-}
 
 template <typename Fn>
 double time_s(Fn&& fn) {
@@ -72,19 +63,19 @@ struct FlagshipScale {
   static FlagshipScale resolve() {
     bool full = full_scale();
     FlagshipScale s;
-    s.nodes = env_size("LMK_FLAGSHIP_NODES", full ? 10000 : 256);
-    s.objects = env_size("LMK_FLAGSHIP_OBJECTS", full ? 1000000 : 20000);
-    s.dims = env_size("LMK_FLAGSHIP_DIMS", full ? 100 : 16);
-    s.landmarks = env_size("LMK_FLAGSHIP_LANDMARKS", 10);
-    s.arrivals = env_size("LMK_FLAGSHIP_ARRIVALS", full ? 2000 : 200);
-    s.rate = env_double("LMK_FLAGSHIP_RATE", full ? 50.0 : 20.0);
-    s.zipf_s = env_double("LMK_FLAGSHIP_ZIPF", 0.9);
+    s.nodes = full ? 10000 : 256;
+    s.objects = full ? 1000000 : 20000;
+    s.dims = full ? 100 : 16;
+    s.landmarks = 10;
+    s.arrivals = full ? 2000 : 200;
+    s.rate = full ? 50.0 : 20.0;
+    s.zipf_s = 0.9;
     // 100-dim full geometry concentrates distances, so the paper's
     // 0.05 factor retrieves well; the 16-dim smoke geometry needs a
     // wider cube for comparable recall.
-    s.range_factor = env_double("LMK_FLAGSHIP_RANGE", full ? 0.05 : 0.10);
+    s.range_factor = full ? 0.05 : 0.10;
     s.sample = env_size("LMK_SAMPLE", full ? 2000 : 400);
-    s.recall_sample = env_size("LMK_FLAGSHIP_RECALL", full ? 50 : 25);
+    s.recall_sample = full ? 50 : 25;
     s.seed = env_size("LMK_SEED", 42);
     return s;
   }
@@ -163,23 +154,18 @@ int run() {
                                "flagship");
 
   // Streaming build: batches of the seeded corpus are landmark-mapped
-  // into arena scratch and bulk-inserted; resident memory is one batch
-  // plus the (SoA) stores, never the corpus.
-  Arena scratch;
+  // into one reused row buffer and bulk-inserted; resident memory is one
+  // batch plus the (SoA) stores, never the corpus.
   AllocCounters build_alloc;
   double t_build = time_s([&] {
     AllocPhaseScope phase("stream-build");
-    index.stream_load(
-        s.objects,
-        [&](std::uint64_t i, DenseVector& out) {
-          out.resize(s.dims);
-          stream.point_into(i, out);
-        },
-        scratch);
+    index.stream_load(s.objects, [&](std::uint64_t i, DenseVector& out) {
+      out.resize(s.dims);
+      stream.point_into(i, out);
+    });
     build_alloc = phase.delta();
   });
   LMK_CHECK(platform.scheme_entries(index.scheme_id()) == s.objects);
-  ArenaStats build_arena = scratch.stats();
 
   // Open-loop arrival stream: Poisson clock, Zipf topic per arrival,
   // query point near the topic's cluster centre.
@@ -359,11 +345,7 @@ int run() {
               "(%.0f objects/s, batches of 8192)\n",
               t_select, t_topology, t_build,
               t_build > 0 ? static_cast<double>(s.objects) / t_build : 0.0);
-  std::printf("arena: high-water %llu bytes, reserved %llu bytes, "
-              "%llu resets; store %llu bytes\n",
-              static_cast<unsigned long long>(build_arena.high_water_bytes),
-              static_cast<unsigned long long>(build_arena.reserved_bytes),
-              static_cast<unsigned long long>(build_arena.resets),
+  std::printf("store: %llu bytes\n",
               static_cast<unsigned long long>(store_bytes));
   std::printf("latency ms: p50 %.2f  p90 %.2f  p99 %.2f  p999 %.2f  "
               "max %.2f  (P2: p99 %.2f, p999 %.2f)\n",
@@ -408,8 +390,7 @@ int run() {
       "    \"wire\": {\"query_bytes\": %.0f, \"result_bytes\": %.0f, "
       "\"total_bytes\": %.0f, \"bytes_per_query\": %.3f, "
       "\"messages_per_query\": %.3f},\n"
-      "    \"memory\": {\"arena_high_water\": %llu, "
-      "\"arena_reserved\": %llu, \"store_bytes\": %llu, "
+      "    \"memory\": {\"store_bytes\": %llu, "
       "\"pool_high_water\": %llu, \"pool_acquires\": %llu, "
       "\"pool_hits\": %llu},\n"
       "    \"recall\": {\"sampled\": %zu, \"mean\": %.6f},\n"
@@ -424,8 +405,6 @@ int run() {
       depth_mean.mean(), static_cast<unsigned long long>(depth_samples),
       max_active, qbytes.sum(), rbytes.sum(), wire_total,
       wire_total / static_cast<double>(schedule.size()), qmsgs.mean(),
-      static_cast<unsigned long long>(build_arena.high_water_bytes),
-      static_cast<unsigned long long>(build_arena.reserved_bytes),
       static_cast<unsigned long long>(store_bytes),
       static_cast<unsigned long long>(pool.high_water),
       static_cast<unsigned long long>(pool.acquires),

@@ -30,7 +30,7 @@
 #include "bench_common.hpp"
 #include "common/alloc_guard.hpp"
 #include "common/parallel.hpp"
-#include "core/index_platform.hpp"
+#include "core/typed_index.hpp"
 #include "eval/experiment.hpp"
 
 namespace lmk::bench {
@@ -212,12 +212,10 @@ int run() {
       }
       ring.bootstrap();
       IndexPlatform platform(ring);
-      std::uint32_t sc = platform.register_scheme(
-          "perf", uniform_boundary(k, 0, w.max_dist), false);
-      auto points =
-          mapper.map_all(std::span<const DenseVector>(w.data.points));
-      platform.bulk_insert(sc, points);
-      LMK_CHECK(platform.scheme_entries(sc) == w.data.points.size());
+      LandmarkIndex<L2Space> index(platform, w.space, mapper, "perf");
+      index.bulk_load(w.data.points);
+      LMK_CHECK(platform.scheme_entries(index.scheme_id()) ==
+                w.data.points.size());
     });
     return t;
   };
@@ -380,12 +378,9 @@ int run() {
     std::uint64_t range_hits = 0;
     std::size_t bytes = 0;
   } store_cell;
-  std::size_t store_entries =
-      env_size("LMK_STORE_ENTRIES",
-               std::min<std::size_t>(w.data.points.size(),
-                                     full_scale() ? 200000 : 20000));
-  const std::size_t store_probes =
-      env_size("LMK_STORE_PROBES", full_scale() ? 100 : 200);
+  const std::size_t store_entries = std::min<std::size_t>(
+      w.data.points.size(), full_scale() ? 200000 : 20000);
+  const std::size_t store_probes = full_scale() ? 100 : 200;
   {
     LandmarkMapper<L2Space> mapper(w.space, kmeansN,
                                    uniform_boundary(k, 0, w.max_dist));

@@ -19,16 +19,13 @@ and exits nonzero when:
     numbers and skip the gate, with a note saying why.
 
 When a flagship run (BENCH_flagship.json, produced by bench_flagship)
-and its committed baseline are both present, three further gates run on
+and its committed baseline are both present, four further gates run on
 the *deterministic* section — virtual-time latencies and exact byte
 counts, so they are immune to machine noise and any violation is a real
 behaviour change, not jitter:
 
   * p99 response latency must not exceed the baseline's by more than
     --flagship-latency-threshold (default 10%);
-  * the streaming-build arena high-water mark must stay within
-    --arena-threshold (default 25%) of the baseline's (the batch-sized
-    memory budget of the streaming insert path);
   * total bytes on the wire must not grow by more than
     --wire-threshold (default 10%);
   * recall@10 (deterministic sampled-oracle mean) must not fall below
@@ -159,23 +156,6 @@ def check_flagship(args, gate):
                  f"(ceiling {ceil:.2f}x) — virtual-time metric, not noise")
     else:
         print("bench_diff: flagship p99 missing on one side (skipped)")
-
-    # --- arena high-water mark (streaming-build memory budget) ---
-    base_arena = inum(section(base, "memory", args.flagship_baseline),
-                      "arena_high_water", args.flagship_baseline)
-    cur_arena = inum(section(cur, "memory", args.flagship),
-                     "arena_high_water", args.flagship)
-    if base_arena > 0 and cur_arena > 0:
-        budget = int(base_arena * (1.0 + args.arena_threshold))
-        print(f"bench_diff: flagship arena high-water {cur_arena:,} bytes "
-              f"vs baseline {base_arena:,} (budget {budget:,})")
-        if cur_arena > budget:
-            gate(f"flagship arena high-water {cur_arena:,} bytes exceeds "
-                 f"the budget {budget:,} (baseline {base_arena:,} "
-                 f"+ {args.arena_threshold:.0%})")
-    else:
-        print("bench_diff: flagship arena high-water missing on one side "
-              "(skipped)")
 
     # --- bytes on the wire (exact counter, hard ceiling) ---
     base_wire = fnum(section(base, "wire", args.flagship_baseline),
@@ -316,9 +296,6 @@ def main():
                     default=0.10,
                     help="allowed fractional growth of the flagship p99 "
                          "virtual-time latency")
-    ap.add_argument("--arena-threshold", type=float, default=0.25,
-                    help="allowed fractional growth of the flagship "
-                         "arena high-water mark")
     ap.add_argument("--wire-threshold", type=float, default=0.10,
                     help="allowed fractional growth of flagship bytes "
                          "on the wire")

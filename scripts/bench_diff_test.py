@@ -38,7 +38,6 @@ def flagship_doc(recall=0.95, scanned=70.0):
         "scale": {"nodes": 256, "objects": 20000},
         "deterministic": {
             "latency_ms": {"p99": 800.0},
-            "memory": {"arena_high_water": 1000000},
             "wire": {"total_bytes": 5000000.0},
             "recall": {"sampled": 25, "mean": recall},
             "scanned_per_subquery": scanned,

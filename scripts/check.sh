@@ -21,10 +21,9 @@
 #                                       #   7. sched smoke (below)
 #   scripts/check.sh --alloc-guard [--warn-only]
 #                                       # allocation-discipline leg: build
-#                                       # with -DLMK_ALLOC_GUARD=ON and
-#                                       # -DLMK_ARENA_GUARD=ON (operator
-#                                       # new/delete interposed, arena
-#                                       # lifetime sanitizer armed), ctest,
+#                                       # with -DLMK_ALLOC_GUARD=ON
+#                                       # (operator new/delete
+#                                       # interposed), ctest,
 #                                       # then a toy-scale bench_perf whose
 #                                       # per-phase allocation JSON feeds
 #                                       # bench_diff.py's zero-steady-state-
@@ -45,8 +44,9 @@
 #                                       # (that cmp fails hard even under
 #                                       # --warn-only), then bench_diff.py
 #                                       # --flagship-only gates p99 latency,
-#                                       # arena high-water, and bytes on the
-#                                       # wire against the committed
+#                                       # bytes on the wire, recall and
+#                                       # scanned entries per subquery
+#                                       # against the committed
 #                                       # bench/BENCH_flagship.baseline.json
 #   scripts/check.sh --sched-smoke      # schedule & fault exploration gate:
 #                                       # a small lmk-sched seed swarm must
@@ -175,7 +175,7 @@ run_flagship_smoke() {
   cmake -B build-check -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DLMK_WERROR=ON >/dev/null
   cmake --build build-check -j"$(nproc)" --target bench_flagship >/dev/null
-  # The deterministic section (virtual-time latency, wire bytes, arena
+  # The deterministic section (virtual-time latency, wire bytes, memory
   # marks, recall) must be byte-identical at any thread count; only the
   # wallclock section may differ.  Run the reduced scenario serial and
   # wide, compare the deterministic JSON, gate on the committed baseline.
@@ -194,11 +194,11 @@ run_flagship_smoke() {
 }
 
 run_alloc_guard() {
-  echo "== check.sh: alloc-guard leg (LMK_ALLOC_GUARD + LMK_ARENA_GUARD) =="
-  # Own build directory: the interposed allocator and the checked arena
-  # handles must never mix objects with the plain build.
+  echo "== check.sh: alloc-guard leg (LMK_ALLOC_GUARD) =="
+  # Own build directory: the interposed allocator must never mix objects
+  # with the plain build.
   cmake -B build-check-allocguard -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DLMK_WERROR=ON -DLMK_ALLOC_GUARD=ON -DLMK_ARENA_GUARD=ON
+    -DLMK_WERROR=ON -DLMK_ALLOC_GUARD=ON
   cmake --build build-check-allocguard -j"$(nproc)"
   ctest --test-dir build-check-allocguard --output-on-failure -j"$(nproc)"
   # Toy-scale storm: the steady-state phase must report zero allocations

@@ -13,13 +13,11 @@
 namespace lmk {
 namespace {
 
-// Per-thread counters and phase name. Zero-initialized (trivial types),
-// so touching them from inside operator new cannot recurse into dynamic
-// TLS construction.
+// Per-thread counters. Zero-initialized (a trivial type), so touching
+// them from inside operator new cannot recurse into dynamic TLS
+// construction.
 // lmk-lint: allow(mutable-global) per-thread counters, never shared across threads
 thread_local AllocCounters g_counters;
-// lmk-lint: allow(mutable-global) per-thread innermost phase name
-thread_local const char* g_phase = nullptr;
 
 }  // namespace
 
@@ -32,14 +30,6 @@ bool alloc_guard_enabled() {
 }
 
 AllocCounters alloc_counters() { return g_counters; }
-
-const char* current_alloc_phase() { return g_phase; }
-
-const char* exchange_alloc_phase(const char* name) {
-  const char* prev = g_phase;
-  g_phase = name;
-  return prev;
-}
 
 #ifdef LMK_ALLOC_GUARD
 namespace detail {

@@ -1,12 +1,13 @@
 // Dynamic allocation-discipline instrumentation (LMK_ALLOC_GUARD).
 //
-// The flagship memory architecture (arenas, recycle pools, SoA stores —
-// see DESIGN.md "Allocation discipline") only pays off while the engine
-// steady state stays off the allocator. The static lmk-lint rules catch
-// allocation *sites*; this guard catches allocation *behavior*: when the
-// build is configured with -DLMK_ALLOC_GUARD=ON, the global operator
-// new/delete family is replaced with a counting interposer, and code
-// brackets its measured regions with AllocPhaseScope:
+// The flagship memory architecture (reused buffers, recycle pools, SoA
+// stores — see DESIGN.md "Allocation discipline") only pays off while
+// the engine steady state stays off the allocator. The static lmk-lint
+// rules catch allocation *sites*; this guard catches allocation
+// *behavior*: when the build is configured with -DLMK_ALLOC_GUARD=ON,
+// the global operator new/delete family is replaced with a counting
+// interposer, and code brackets its measured regions with
+// AllocPhaseScope:
 //
 //   AllocPhaseScope phase("engine-steady-state");
 //   ... hot loop ...
@@ -19,10 +20,7 @@
 // allocations in the engine storm phase.
 //
 // Without the CMake option everything here compiles to no-ops:
-// alloc_guard_enabled() is false, counters stay zero, and AllocPhaseScope
-// only maintains the phase-name stack (which the arena lifetime
-// sanitizer also uses for its diagnostics, so the name plumbing is kept
-// in both modes).
+// alloc_guard_enabled() is false and counters stay zero.
 #pragma once
 
 #include <cstdint>
@@ -50,28 +48,13 @@ struct AllocCounters {
 /// guard).
 [[nodiscard]] AllocCounters alloc_counters();
 
-/// Innermost active phase name on this thread, nullptr outside any
-/// scope. Maintained in both build modes; the arena guard stamps it
-/// into ArenaRef/ArenaSpan grants for use-after-reset diagnostics.
-[[nodiscard]] const char* current_alloc_phase();
-
-/// Install `name` as this thread's current phase and return the
-/// previous one — the low-level primitive behind AllocPhaseScope. The
-/// thread pool uses it to carry the submitting thread's phase onto
-/// workers for the duration of a job.
-const char* exchange_alloc_phase(const char* name);
-
 /// RAII measured region. `name` must outlive the scope (string
 /// literals in practice). Scopes nest; delta() reports this thread's
 /// counter movement since the scope opened.
 class AllocPhaseScope {
  public:
   explicit AllocPhaseScope(const char* name)
-      : name_(name),
-        prev_(exchange_alloc_phase(name)),
-        at_open_(alloc_counters()) {}
-
-  ~AllocPhaseScope() { exchange_alloc_phase(prev_); }
+      : name_(name), at_open_(alloc_counters()) {}
 
   AllocPhaseScope(const AllocPhaseScope&) = delete;
   AllocPhaseScope& operator=(const AllocPhaseScope&) = delete;
@@ -85,7 +68,6 @@ class AllocPhaseScope {
 
  private:
   const char* name_;
-  const char* prev_;
   AllocCounters at_open_;
 };
 

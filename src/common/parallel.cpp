@@ -1,8 +1,6 @@
 #include "common/parallel.hpp"
 
 #include <algorithm>
-
-#include "common/alloc_guard.hpp"
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -19,23 +17,12 @@ namespace {
 /// workers so a straggler waking after completion still reads valid
 /// state.
 struct Job {
-  static constexpr std::size_t kUnboundedSlots = ~std::size_t{0};
-
   std::size_t n = 0;
   std::size_t grain = 1;
   std::size_t chunks = 0;
   const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
   std::atomic<std::size_t> next{0};   ///< next chunk to claim
   std::atomic<std::size_t> done{0};   ///< chunks completed
-  /// Executor slots still free (bounded-concurrency jobs; see
-  /// parallel_tasks). A thread that finds no free slot simply does not
-  /// join the job — the slot holders drain the remaining chunks.
-  std::atomic<std::size_t> slots{kUnboundedSlots};
-  /// The submitting thread's allocation phase, re-installed on every
-  /// worker for the job's duration so per-phase allocation accounting
-  /// and arena-guard diagnostics attribute worker allocations to the
-  /// phase that fanned the work out (common/alloc_guard.hpp).
-  const char* alloc_phase = nullptr;
   std::mutex err_mu;
   std::exception_ptr error;
 };
@@ -99,22 +86,7 @@ class Pool {
   }
 
   void execute(Job& job) {
-    // Bounded-concurrency jobs: take an executor slot or leave the job
-    // to the current slot holders (they loop until every chunk is
-    // claimed, so progress never depends on this thread).
-    bool bounded = false;
-    std::size_t s = job.slots.load(std::memory_order_relaxed);
-    while (s != Job::kUnboundedSlots) {
-      if (s == 0) return;
-      if (job.slots.compare_exchange_weak(s, s - 1,
-                                          std::memory_order_acquire,
-                                          std::memory_order_relaxed)) {
-        bounded = true;
-        break;
-      }
-    }
     g_in_job = true;
-    const char* prev_phase = exchange_alloc_phase(job.alloc_phase);
     for (;;) {
       std::size_t c = job.next.fetch_add(1, std::memory_order_relaxed);
       if (c >= job.chunks) break;
@@ -132,9 +104,7 @@ class Pool {
         done_cv_.notify_all();
       }
     }
-    exchange_alloc_phase(prev_phase);
     g_in_job = false;
-    if (bounded) job.slots.fetch_add(1, std::memory_order_release);
   }
 
   std::mutex mu_;
@@ -190,15 +160,13 @@ void set_threads(std::size_t n) {
 }
 
 void parallel_tasks(std::size_t n,
-                    const std::function<void(std::size_t)>& fn,
-                    std::size_t max_concurrent) {
+                    const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
   std::function<void(std::size_t, std::size_t)> wrapper =
       [&fn](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) fn(i);
       };
-  detail::run_chunks(n, /*grain=*/1, wrapper,
-                     max_concurrent == 0 ? thread_count() : max_concurrent);
+  detail::run_chunks(n, /*grain=*/1, wrapper);
 }
 
 namespace detail {
@@ -213,15 +181,13 @@ std::size_t default_grain(std::size_t n) {
 }
 
 void run_chunks(std::size_t n, std::size_t grain,
-                const std::function<void(std::size_t, std::size_t)>& fn,
-                std::size_t max_active) {
+                const std::function<void(std::size_t, std::size_t)>& fn) {
   if (n == 0) return;
   if (grain == 0) grain = 1;
   std::size_t chunks = (n + grain - 1) / grain;
-  if (g_in_job || chunks <= 1 || thread_count() <= 1 || max_active == 1) {
-    // Inline: single chunk, single-threaded config, a concurrency cap
-    // of one, or a nested call from inside a pool worker. Same chunk
-    // boundaries, same results.
+  if (g_in_job || chunks <= 1 || thread_count() <= 1) {
+    // Inline: single chunk, single-threaded config, or a nested call
+    // from inside a pool worker. Same chunk boundaries, same results.
     for (std::size_t c = 0; c < chunks; ++c) {
       std::size_t begin = c * grain;
       fn(begin, std::min(n, begin + grain));
@@ -233,10 +199,6 @@ void run_chunks(std::size_t n, std::size_t grain,
   job->grain = grain;
   job->chunks = chunks;
   job->fn = &fn;
-  job->alloc_phase = current_alloc_phase();
-  if (max_active != 0) {
-    job->slots.store(max_active, std::memory_order_relaxed);
-  }
   pool().run(job);
   if (job->error) std::rethrow_exception(job->error);
 }

@@ -15,7 +15,7 @@
 //    Under that discipline results are bit-identical for any thread
 //    count, including 1.
 //  * parallel_tasks submits coarse independent tasks (one simulator
-//    stack each) to the same pool, capped to a maximum number in
+//    stack each) to the same pool, at most one per pool thread in
 //    flight. A parallel_for/parallel_chunks issued from inside a task
 //    runs inline with unchanged chunk boundaries — no pool re-entry,
 //    no deadlock, and per-task results identical to a serial run.
@@ -43,29 +43,24 @@ namespace lmk {
 /// benchmark harnesses that compare thread counts in one process.
 void set_threads(std::size_t n);
 
-/// Run `n` independent coarse tasks fn(i) on the pool with at most
-/// `max_concurrent` in flight at once (0 = thread count; always clamped
-/// to the thread count). Tasks are claimed in index order, so with a
-/// cap of 1 (or a single-threaded pool) execution degrades to the plain
-/// serial loop. Nested parallel_for/parallel_chunks calls issued from
-/// inside a task run inline with unchanged chunk boundaries, so each
-/// task's results are bit-identical to a serial run regardless of the
-/// thread count or cap. Blocks until every task finished; rethrows the
-/// first exception (remaining tasks still run).
+/// Run `n` independent coarse tasks fn(i) on the pool, at most one per
+/// pool thread at once. Tasks are claimed in index order, so on a
+/// single-threaded pool execution degrades to the plain serial loop.
+/// Nested parallel_for/parallel_chunks calls issued from inside a task
+/// run inline with unchanged chunk boundaries, so each task's results
+/// are bit-identical to a serial run regardless of the thread count.
+/// Blocks until every task finished; rethrows the first exception
+/// (remaining tasks still run).
 void parallel_tasks(std::size_t n,
-                    const std::function<void(std::size_t)>& fn,
-                    std::size_t max_concurrent = 0);
+                    const std::function<void(std::size_t)>& fn);
 
 namespace detail {
 /// Runs fn(begin, end) over deterministic chunks covering [0, n),
 /// distributing chunks across the pool; blocks until every chunk
 /// completed. Rethrows the first exception thrown by fn (every other
 /// chunk still runs or is abandoned; the pool stays usable).
-/// `max_active` caps how many pool threads may execute chunks at once
-/// (0 = unbounded).
 void run_chunks(std::size_t n, std::size_t grain,
-                const std::function<void(std::size_t, std::size_t)>& fn,
-                std::size_t max_active = 0);
+                const std::function<void(std::size_t, std::size_t)>& fn);
 
 /// Deterministic default grain: targets a fixed maximum chunk count so
 /// chunk boundaries are a pure function of n.

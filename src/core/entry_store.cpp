@@ -18,7 +18,6 @@ void EntryStore::push_back(Id key, std::uint64_t object,
   keys_.push_back(key);
   objects_.push_back(object);
   coords_.insert(coords_.end(), pt.begin(), pt.end());
-  ++mutations_;
 }
 
 void EntryStore::push_back(const EntryView& v) {
@@ -37,7 +36,6 @@ void EntryStore::erase_at(std::size_t i) {
   objects_.erase(objects_.begin() + static_cast<long>(i));
   coords_.erase(coords_.begin() + static_cast<long>(i * dims_),
                 coords_.begin() + static_cast<long>((i + 1) * dims_));
-  ++mutations_;
 }
 
 bool EntryStore::erase_first(std::uint64_t object, Id key) {
@@ -54,7 +52,6 @@ void EntryStore::clear() {
   keys_.clear();
   objects_.clear();
   coords_.clear();
-  ++mutations_;
 }
 
 void EntryStore::append(const EntryStore& src) {
@@ -63,7 +60,6 @@ void EntryStore::append(const EntryStore& src) {
   keys_.insert(keys_.end(), src.keys_.begin(), src.keys_.end());
   objects_.insert(objects_.end(), src.objects_.begin(), src.objects_.end());
   coords_.insert(coords_.end(), src.coords_.begin(), src.coords_.end());
-  ++mutations_;
 }
 
 void EntryStore::append_moved(EntryStore& src) {
@@ -73,7 +69,6 @@ void EntryStore::append_moved(EntryStore& src) {
     keys_.swap(src.keys_);
     objects_.swap(src.objects_);
     coords_.swap(src.coords_);
-    ++mutations_;
     src.clear();
     return;
   }
@@ -85,7 +80,6 @@ void EntryStore::truncate(std::size_t n) {
   keys_.resize(n);
   objects_.resize(n);
   coords_.resize(n * dims_);
-  ++mutations_;
 }
 
 std::size_t EntryStore::memory_bytes() const {

@@ -45,8 +45,6 @@ struct EntryView {
   std::span<const double> point;
 };
 
-class CheckedEntryView;
-
 /// SoA entry container. Dimensionality is fixed by the first push and
 /// checked on every subsequent one; an empty store accepts any.
 class EntryStore {
@@ -72,17 +70,6 @@ class EntryStore {
   [[nodiscard]] EntryView front() const { return (*this)[0]; }
   [[nodiscard]] EntryView back() const { return (*this)[size() - 1]; }
   // lmk-hot-path-end
-
-  /// Count of mutations ever applied: bumped by every operation that
-  /// can invalidate outstanding EntryView point spans (the SoA buffers
-  /// reallocate or shift). CheckedEntryView stamps it at grant time.
-  [[nodiscard]] std::uint64_t mutations() const { return mutations_; }
-
-  /// Mutation-checked view: accessors verify the store has not been
-  /// mutated since the view was granted (LMK_ARENA_GUARD builds only;
-  /// a bare index wrapper otherwise). Use where a view outlives more
-  /// code than a single expression.
-  [[nodiscard]] CheckedEntryView checked_view(std::size_t i) const;
 
   /// Materialize one entry into the owning form (repair/test paths).
   [[nodiscard]] IndexEntry entry(std::size_t i) const {
@@ -168,65 +155,6 @@ class EntryStore {
   std::vector<double> coords_;  ///< size() * dims_ doubles, row-major
   std::vector<double> scratch_; ///< staging for self-aliasing pushes
   std::size_t dims_ = 0;
-  std::uint64_t mutations_ = 0;  ///< see mutations()
 };
-
-/// Mutation-checked counterpart of EntryView. Holds (store, index) and
-/// re-reads through the store on every access; under LMK_ARENA_GUARD
-/// each access verifies the store's mutation counter still matches the
-/// value stamped when the view was granted, trapping deterministically
-/// on the stale-span bugs that plain EntryView turns into silent reads
-/// of shifted or reallocated memory.
-class CheckedEntryView {
- public:
-  CheckedEntryView() = default;
-
-  [[nodiscard]] Id key() const {
-    check_fresh();
-    return store_->key(index_);
-  }
-  [[nodiscard]] std::uint64_t object() const {
-    check_fresh();
-    return store_->object(index_);
-  }
-  [[nodiscard]] std::span<const double> point() const {
-    check_fresh();
-    return store_->point(index_);
-  }
-
- private:
-  friend class EntryStore;
-#ifdef LMK_ARENA_GUARD
-  CheckedEntryView(const EntryStore* store, std::size_t index,
-                   std::uint64_t mutations)
-      : store_(store), index_(index), mutations_(mutations) {}
-  void check_fresh() const {
-    LMK_CHECK_MSG(store_->mutations() == mutations_,
-                  "stale entry view: store mutated %llu time(s) since the "
-                  "view of entry %zu was granted",
-                  static_cast<unsigned long long>(store_->mutations() -
-                                                 mutations_),
-                  index_);
-  }
-  const EntryStore* store_ = nullptr;
-  std::size_t index_ = 0;
-  std::uint64_t mutations_ = 0;
-#else
-  CheckedEntryView(const EntryStore* store, std::size_t index)
-      : store_(store), index_(index) {}
-  void check_fresh() const {}
-  const EntryStore* store_ = nullptr;
-  std::size_t index_ = 0;
-#endif
-};
-
-inline CheckedEntryView EntryStore::checked_view(std::size_t i) const {
-  LMK_CHECK(i < size());
-#ifdef LMK_ARENA_GUARD
-  return {this, i, mutations_};
-#else
-  return {this, i};
-#endif
-}
 
 }  // namespace lmk

@@ -120,44 +120,22 @@ std::vector<ChordNode*> IndexPlatform::replica_nodes(Id key) const {
   return out;
 }
 
+void IndexPlatform::place(ChordNode& primary, std::uint32_t scheme_id,
+                          Id key, std::uint64_t object,
+                          std::span<const double> point) {
+  entries(primary, scheme_id).push_back(key, object, point);
+  if (opts_.replication <= 1) return;
+  for (ChordNode* replica : replica_nodes(key)) {
+    if (replica == &primary) continue;
+    entries(*replica, scheme_id).push_back(key, object, point);
+  }
+}
+
 void IndexPlatform::insert(std::uint32_t scheme_id, std::uint64_t object,
                            const IndexPoint& point) {
   const SchemeRouting& sch = scheme(scheme_id);
   Id key = lph_hash(point, sch.boundary) + sch.rotation;
-  if (opts_.replication <= 1) {
-    // Unreplicated fast path: no per-insert replica-list allocation.
-    ChordNode* owner = ring_.oracle_successor(key);
-    entries(*owner, scheme_id).push_back(key, object, point);
-    return;
-  }
-  for (ChordNode* node : replica_nodes(key)) {
-    entries(*node, scheme_id).push_back(key, object, point);
-  }
-}
-
-void IndexPlatform::bulk_insert(std::uint32_t scheme_id,
-                                std::span<const IndexPoint> points,
-                                std::uint64_t first_object) {
-  const SchemeRouting& sch = scheme(scheme_id);
-  // Phase 1 (parallel, read-only): hash every point to its placement
-  // key. Phase 2 (sequential, index order): mutate the node stores —
-  // identical entry order to a plain insert() loop.
-  std::vector<Id> keys(points.size());
-  parallel_for(points.size(), [&](std::size_t i) {
-    keys[i] = lph_hash(points[i], sch.boundary) + sch.rotation;
-  });
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (opts_.replication <= 1) {
-      ChordNode* owner = ring_.oracle_successor(keys[i]);
-      entries(*owner, scheme_id).push_back(keys[i], first_object + i,
-                                           points[i]);
-      continue;
-    }
-    for (ChordNode* node : replica_nodes(keys[i])) {
-      entries(*node, scheme_id)
-          .push_back(keys[i], first_object + i, points[i]);
-    }
-  }
+  place(*ring_.oracle_successor(key), scheme_id, key, object, point);
 }
 
 void IndexPlatform::bulk_insert_flat(std::uint32_t scheme_id,
@@ -168,24 +146,17 @@ void IndexPlatform::bulk_insert_flat(std::uint32_t scheme_id,
   LMK_CHECK(dims > 0 && coords.size() % dims == 0);
   LMK_CHECK(dims == sch.boundary.size());
   const std::size_t n = coords.size() / dims;
-  // Same two-phase structure as bulk_insert, but the points live in one
-  // flat row-major buffer (the streaming-load path hands in arena
-  // scratch) — no per-point IndexPoint materialization anywhere.
+  // Phase 1 (parallel, read-only): hash every row to its placement key.
+  // Phase 2 (sequential, row order): mutate the node stores — identical
+  // entry order to a plain insert() loop.
   std::vector<Id> keys(n);
   parallel_for(n, [&](std::size_t i) {
     keys[i] =
         lph_hash(coords.subspan(i * dims, dims), sch.boundary) + sch.rotation;
   });
   for (std::size_t i = 0; i < n; ++i) {
-    std::span<const double> row = coords.subspan(i * dims, dims);
-    if (opts_.replication <= 1) {
-      ChordNode* owner = ring_.oracle_successor(keys[i]);
-      entries(*owner, scheme_id).push_back(keys[i], first_object + i, row);
-      continue;
-    }
-    for (ChordNode* node : replica_nodes(keys[i])) {
-      entries(*node, scheme_id).push_back(keys[i], first_object + i, row);
-    }
+    place(*ring_.oracle_successor(keys[i]), scheme_id, keys[i],
+          first_object + i, coords.subspan(i * dims, dims));
   }
 }
 
@@ -199,16 +170,10 @@ void IndexPlatform::insert_via_network(ChordNode& origin,
       origin, key,
       [this, scheme_id, object, key, point = std::move(point),
        done = std::move(done)](NodeRef owner, int hops) {
-        entries(*owner.node, scheme_id).push_back(key, object, point);
-        // Replica propagation: the owner pushes copies down its
-        // successor chain (modeled as oracle placement; the one-hop
-        // store messages are not part of the paper's cost model).
-        if (opts_.replication > 1) {
-          for (ChordNode* replica : replica_nodes(key)) {
-            if (replica == owner.node) continue;
-            entries(*replica, scheme_id).push_back(key, object, point);
-          }
-        }
+        // The owner pushes copies down its successor chain (modeled as
+        // oracle placement; the one-hop store messages are not part of
+        // the paper's cost model).
+        place(*owner.node, scheme_id, key, object, point);
         if (done) done(hops);
       });
 }
@@ -353,11 +318,10 @@ void IndexPlatform::on_solve(const RangeQuery& q, ChordNode& node) {
   // downstream sorts and dedups by (object, score) anyway, so results
   // stay byte-identical at any thread count.
   PendingReply& reply = pending_replies_[q.qid][&node];
-  if (!reply.pooled) {
+  if (!reply.flush_scheduled) {
     // Fresh (query, node) reply: back its scored buffer with a pooled
     // vector so steady-state query traffic stops allocating.
     reply.scored = reply_pool_.acquire();
-    reply.pooled = true;
   }
   std::uint64_t evaluated = 0;
   SchemeStore& ss = scheme_store(node, aq.scheme);
@@ -440,7 +404,7 @@ void IndexPlatform::flush_reply(std::uint64_t qid, ChordNode& node) {
   std::vector<std::uint64_t> ids;
   ids.reserve(reply.scored.size());
   for (const auto& [score, object] : reply.scored) ids.push_back(object);
-  if (reply.pooled) reply_pool_.release(std::move(reply.scored));
+  reply_pool_.release(std::move(reply.scored));
 
   const SchemeRouting& sch = scheme(aq.scheme);
   std::uint64_t bytes =

@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "balance/migration.hpp"
-#include "common/arena.hpp"
+#include "common/recycle_pool.hpp"
 #include "core/entry_store.hpp"
 #include "routing/naive.hpp"
 #include "routing/router.hpp"
@@ -130,20 +130,13 @@ class IndexPlatform {
   void insert(std::uint32_t scheme, std::uint64_t object,
               const IndexPoint& point);
 
-  /// Bulk-load a whole batch: points[i] is stored for object id
-  /// first_object + i. The LPH key computation fans out over the
-  /// deterministic thread pool; store mutation stays sequential in
-  /// index order, so the resulting placement is byte-identical to
-  /// calling insert() in a loop (for any thread count).
-  void bulk_insert(std::uint32_t scheme, std::span<const IndexPoint> points,
-                   std::uint64_t first_object = 0);
-
-  /// Flat-buffer bulk load: `coords` holds size/dims row-major index
-  /// points (row i is stored for object first_object + i). This is the
-  /// streaming-construction path — batches of mapped points live in
-  /// arena scratch and flow straight into the SoA stores without ever
-  /// materializing per-point heap vectors. Placement order is identical
-  /// to insert() in a loop for any thread count.
+  /// Bulk-load a batch: `coords` holds size/dims row-major index points
+  /// (row i is stored for object first_object + i), so mapped rows flow
+  /// straight into the SoA stores without per-point heap vectors. The
+  /// LPH key computation fans out over the deterministic thread pool;
+  /// store mutation stays sequential in row order, so the placement is
+  /// byte-identical to calling insert() in a loop (for any thread
+  /// count).
   void bulk_insert_flat(std::uint32_t scheme, std::span<const double> coords,
                         std::size_t dims, std::uint64_t first_object = 0);
 
@@ -330,10 +323,13 @@ class IndexPlatform {
   struct PendingReply {
     std::vector<std::pair<double, std::uint64_t>> scored;
     bool flush_scheduled = false;
-    bool pooled = false;  ///< scored came from reply_pool_
   };
 
   [[nodiscard]] std::vector<ChordNode*> replica_nodes(Id key) const;
+  /// Store one entry on `primary`, then on the key's other replicas in
+  /// successor order. The unreplicated path allocates nothing.
+  void place(ChordNode& primary, std::uint32_t scheme, Id key,
+             std::uint64_t object, std::span<const double> point);
   NodeStore& store_of(const ChordNode& n);
   SchemeStore& scheme_store(const ChordNode& n, std::uint32_t scheme);
   /// Mutable entry store; invalidates the local store. All writers must

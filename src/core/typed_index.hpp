@@ -21,6 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "core/index_platform.hpp"
 #include "landmark/mapper.hpp"
 
@@ -65,43 +66,40 @@ class LandmarkIndex {
   /// an insert() loop for any thread count.
   void bulk_load(std::span<const Point> objects,
                  std::uint64_t first_object = 0) {
-    std::vector<IndexPoint> points = mapper_.map_all(objects);
-    platform_->bulk_insert(scheme_, points, first_object);
+    std::vector<double> rows;
+    load_batch(
+        objects.size(),
+        [&](std::size_t i) -> const Point& { return objects[i]; },
+        first_object, rows);
   }
 
   /// Stream-load a corpus that is a *function* rather than a container:
   /// `make_point(i, out)` writes object i (ids first_object + i) into
   /// caller storage. The corpus is consumed in batches of `batch`
-  /// objects; each batch is landmark-mapped in parallel into flat
-  /// scratch from `scratch` (reset between batches, so the arena
-  /// high-water mark is one batch regardless of corpus size) and
-  /// bulk-inserted. Placement is identical to insert() in a loop, for
-  /// any thread count and any batch size.
+  /// objects, staged in one reused point vector and mapped in parallel
+  /// into one reused row buffer: resident scratch is one batch
+  /// regardless of corpus size, allocated by the first batch only.
+  /// Placement is identical to insert() in a loop, for any thread count
+  /// and any batch size.
   template <typename MakePoint>
-  void stream_load(std::uint64_t count, MakePoint&& make_point, Arena& scratch,
+  void stream_load(std::uint64_t count, MakePoint&& make_point,
                    std::size_t batch = 8192, std::uint64_t first_object = 0) {
     LMK_CHECK(batch > 0);
-    const std::size_t dims = mapper_.dims();
     std::vector<Point> staged(std::min<std::uint64_t>(batch, count));
+    std::vector<double> rows;
     for (std::uint64_t at = 0; at < count; at += batch) {
       const std::size_t n =
           static_cast<std::size_t>(std::min<std::uint64_t>(batch, count - at));
-      scratch.reset();
-      // Epoch-checked handle: if a future edit hoists this span out of
-      // the batch loop (across the reset() above), every access traps
-      // under LMK_ARENA_GUARD instead of silently reading recycled
-      // bytes.
-      ArenaSpan<double> coords = scratch.guarded_span<double>(n * dims);
-      // Materialize the batch's domain points (object regeneration may
-      // be stateful per point but is index-addressed, so parallel
-      // production is deterministic), then map them into the flat
-      // coordinate block.
-      parallel_for(n, [&](std::size_t i) {
-        make_point(at + i, staged[i]);
-        mapper_.map_into(staged[i], coords.subspan(i * dims, dims));
-      });
-      platform_->bulk_insert_flat(scheme_, coords.raw(), dims,
-                                  first_object + at);
+      // Object regeneration may be stateful per point but is
+      // index-addressed, so producing the batch in parallel is
+      // deterministic.
+      load_batch(
+          n,
+          [&](std::size_t i) -> const Point& {
+            make_point(at + i, staged[i]);
+            return staged[i];
+          },
+          first_object + at, rows);
     }
   }
 
@@ -274,6 +272,22 @@ class LandmarkIndex {
     total.max_node_candidates =
         std::max(total.max_node_candidates, round.max_node_candidates);
     total.complete = round.complete;
+  }
+
+  /// The one load path: map point_at(i) for every i < n into `rows` on
+  /// the thread pool (point_at may touch only slot i's state), then
+  /// place row i as object first_object + i. `rows` is resized; its
+  /// capacity carries over to the next batch.
+  template <typename PointAt>
+  void load_batch(std::size_t n, PointAt&& point_at,
+                  std::uint64_t first_object, std::vector<double>& rows) {
+    const std::size_t dims = mapper_.dims();
+    rows.resize(n * dims);
+    parallel_for(n, [&](std::size_t i) {
+      mapper_.map_into(point_at(i),
+                       std::span<double>(rows).subspan(i * dims, dims));
+    });
+    platform_->bulk_insert_flat(scheme_, rows, dims, first_object);
   }
 
   IndexPlatform* platform_;

@@ -2,32 +2,13 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
 
 namespace lmk {
 
-namespace {
-
-std::size_t env_resident_cap() {
-  const char* v = std::getenv("LMK_SWEEP_RESIDENT");
-  if (v != nullptr && *v != '\0') {
-    long n = std::strtol(v, nullptr, 10);
-    if (n >= 1) return static_cast<std::size_t>(n);
-  }
-  return 0;
-}
-
-}  // namespace
-
-std::size_t SweepDriver::resident_cap() const {
-  std::size_t cap = opts_.max_resident;
-  if (cap == 0) cap = env_resident_cap();
-  if (cap == 0) cap = thread_count();
-  return cap == 0 ? 1 : cap;
-}
+std::size_t SweepDriver::resident_cap() const { return thread_count(); }
 
 std::vector<CellOutput> SweepDriver::run() {
   std::vector<CellOutput> outputs(cells_.size());
@@ -44,8 +25,7 @@ std::vector<CellOutput> SweepDriver::run() {
         }
         outputs[i] = cells_[i]();
         resident.fetch_sub(1, std::memory_order_acq_rel);
-      },
-      resident_cap());
+      });
   peak_resident_ = peak.load(std::memory_order_relaxed);
   LMK_CHECK(peak_resident_ <= resident_cap());
   return outputs;

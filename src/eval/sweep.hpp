@@ -19,9 +19,8 @@
 //    intra-cell results are bit-identical at any LMK_THREADS.
 //  * At most `resident_cap()` cells are resident (constructed, running,
 //    not yet destroyed) at once, bounding peak memory to
-//    cap × stack-size even at full paper scale. The cap comes from
-//    Options::max_resident, else LMK_SWEEP_RESIDENT, else the pool
-//    thread count.
+//    cap × stack-size even at full paper scale. The cap is the pool
+//    thread count (LMK_THREADS): one cell per pool thread.
 #pragma once
 
 #include <cstddef>
@@ -46,16 +45,7 @@ struct CellOutput {
 /// order. A driver is single-use: add cells, run once.
 class SweepDriver {
  public:
-  struct Options {
-    /// Maximum cells resident at once (0 = LMK_SWEEP_RESIDENT env var,
-    /// else the pool thread count). Clamped to >= 1.
-    std::size_t max_resident = 0;
-  };
-
   using Cell = std::function<CellOutput()>;
-
-  SweepDriver() = default;
-  explicit SweepDriver(Options opts) : opts_(opts) {}
 
   /// Register a cell. The callable must own (or share immutably) every
   /// input it touches and derive its seeds from its own config.
@@ -72,7 +62,7 @@ class SweepDriver {
 
   [[nodiscard]] std::size_t cells() const { return cells_.size(); }
 
-  /// Effective resident-cell cap this driver will run with.
+  /// Resident-cell cap this driver will run with: the pool width.
   [[nodiscard]] std::size_t resident_cap() const;
 
   /// Highest number of cells simultaneously resident during the last
@@ -80,7 +70,6 @@ class SweepDriver {
   [[nodiscard]] std::size_t peak_resident() const { return peak_resident_; }
 
  private:
-  Options opts_;
   std::vector<Cell> cells_;
   std::size_t peak_resident_ = 0;
 };

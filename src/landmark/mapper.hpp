@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/parallel.hpp"
 #include "metric/metric_space.hpp"
 
 namespace lmk {
@@ -71,17 +70,13 @@ class LandmarkMapper {
   /// boundary will be mapped to the boundary points", §3.1).
   [[nodiscard]] IndexPoint map(const Point& p) const {
     IndexPoint out(dims());
-    for (std::size_t i = 0; i < dims(); ++i) {
-      double d = space_->distance(p, landmarks_[i]);
-      const Interval& b = boundary_[i];
-      out[i] = d < b.lo ? b.lo : (d > b.hi ? b.hi : d);
-    }
+    map_into(p, out);
     return out;
   }
 
-  /// Clamped mapping into caller-provided storage — the streaming-load
-  /// path maps whole batches into one flat arena-backed buffer, so no
-  /// per-point IndexPoint is ever allocated.
+  /// Clamped mapping into caller-provided storage — the bulk-load path
+  /// maps whole batches into one flat row buffer, so no per-point
+  /// IndexPoint is ever allocated.
   void map_into(const Point& p, std::span<double> out) const {
     LMK_CHECK(out.size() == dims());
     for (std::size_t i = 0; i < dims(); ++i) {
@@ -99,19 +94,6 @@ class LandmarkMapper {
     for (std::size_t i = 0; i < dims(); ++i) {
       out[i] = space_->distance(p, landmarks_[i]);
     }
-    return out;
-  }
-
-  /// Bulk mapping for index builds: map every point, fanned out over the
-  /// deterministic thread pool (points × landmarks distance evaluations
-  /// are the dominant cost of loading a dataset). Each worker writes
-  /// only its own output slots, so the result is bit-identical for any
-  /// thread count. Requires a pure (thread-safe) distance.
-  [[nodiscard]] std::vector<IndexPoint> map_all(
-      std::span<const Point> points) const {
-    std::vector<IndexPoint> out(points.size());
-    parallel_for(points.size(),
-                 [&](std::size_t i) { out[i] = map(points[i]); });
     return out;
   }
 

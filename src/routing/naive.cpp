@@ -44,7 +44,7 @@ void NaiveRouter::start(ChordNode& origin_node, RangeQuery q) {
 }
 
 void NaiveRouter::route(ChordNode& at, RangeQuery q) {
-  LMK_CHECK(q.hops <= hop_limit_);
+  LMK_CHECK(q.hops <= kHopLimit);
   Id key = q.routing_key();
   if (at.owns(key)) {
     walk(at, std::move(q));
@@ -60,7 +60,7 @@ void NaiveRouter::route(ChordNode& at, RangeQuery q) {
 }
 
 void NaiveRouter::deliver(ChordNode& owner, RangeQuery q) {
-  LMK_CHECK(q.hops <= hop_limit_);
+  LMK_CHECK(q.hops <= kHopLimit);
   if (!owner.owns(q.routing_key())) {
     route(owner, std::move(q));  // stale hand-off: keep routing
     return;
@@ -69,7 +69,7 @@ void NaiveRouter::deliver(ChordNode& owner, RangeQuery q) {
 }
 
 void NaiveRouter::walk(ChordNode& at, RangeQuery q) {
-  LMK_CHECK(q.hops <= hop_limit_);
+  LMK_CHECK(q.hops <= kHopLimit);
   // `at` holds part of the subquery's cuboid key span; report local
   // matches, and continue along the successor chain until the node
   // owning the span's end is reached — one hop per additional owner, no

@@ -36,9 +36,11 @@ class NaiveRouter {
 
   [[nodiscard]] const TrafficCounter& traffic() const { return traffic_; }
 
-  void set_hop_limit(int limit) { hop_limit_ = limit; }
-
  private:
+  /// Safety valve: routing one piece over more hops than this aborts
+  /// (a routing-logic bug).
+  static constexpr int kHopLimit = 512;
+
   enum class Step { kRoute, kDeliver, kWalk };
 
   void route(ChordNode& at, RangeQuery q);
@@ -52,7 +54,6 @@ class NaiveRouter {
   SentFn sent_;
   TrafficCounter traffic_;
   int split_depth_;
-  int hop_limit_ = 512;
 };
 
 }  // namespace lmk

@@ -70,7 +70,7 @@ void QueryRouter::flush(ChordNode& from) {
     for (Parcel& p : batch) {
       LMK_CHECK(p.q.qid == batch.front().q.qid);
       p.q.hops += 1;
-      LMK_CHECK(p.q.hops <= hop_limit_);
+      LMK_CHECK(p.q.hops <= kHopLimit);
     }
     if (sent_) sent_(batch.front().q.qid, bytes);
 
@@ -113,7 +113,7 @@ void QueryRouter::process(ChordNode& at, Parcel parcel) {
 }
 
 void QueryRouter::query_routing(ChordNode& at, RangeQuery q) {
-  LMK_CHECK(q.hops <= hop_limit_);
+  LMK_CHECK(q.hops <= kHopLimit);
   auto dispatch = [&](RangeQuery&& sq) {
     NodeRef n = at.next_hop(sq.routing_key());
     if (n.node == &at) {
@@ -156,7 +156,7 @@ void QueryRouter::query_routing(ChordNode& at, RangeQuery q) {
 }
 
 void QueryRouter::surrogate_refine(ChordNode& me, RangeQuery q) {
-  LMK_CHECK(q.hops <= hop_limit_);
+  LMK_CHECK(q.hops <= kHopLimit);
   if (!me.owns(q.routing_key())) {
     // Stale delivery (the sender's successor pointer lagged a
     // membership change): keep routing from here.

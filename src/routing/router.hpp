@@ -68,11 +68,11 @@ class QueryRouter {
   /// Query-delivery traffic (paper metric 4a) accumulated so far.
   [[nodiscard]] const TrafficCounter& traffic() const { return traffic_; }
 
-  /// Safety valve: routing a single subquery over more hops than this
-  /// aborts (indicates a routing-logic bug; default 512).
-  void set_hop_limit(int limit) { hop_limit_ = limit; }
-
  private:
+  /// Safety valve: routing a single subquery over more hops than this
+  /// aborts (indicates a routing-logic bug).
+  static constexpr int kHopLimit = 512;
+
   /// One batched subquery en route to a node.
   struct Parcel {
     RangeQuery q;
@@ -96,7 +96,6 @@ class QueryRouter {
   FanoutFn fanout_;
   SentFn sent_;
   TrafficCounter traffic_;
-  int hop_limit_ = 512;
 
   bool in_episode_ = false;
   std::vector<std::pair<NodeRef, Parcel>> outbox_;

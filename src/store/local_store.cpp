@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 
+#include "common/check.hpp"
+
 namespace lmk {
 namespace {
 
@@ -35,6 +37,7 @@ void LocalStore::build(const EntryStore& entries) {
   }
   built_ = true;
   stale_ = false;
+  indexed_rows_ = n;
   charge_ = 0;
   ++stats_.rebuilds;
   stats_.rebuilt_entries += n;
@@ -61,6 +64,10 @@ std::size_t LocalStore::range(const EntryStore& entries, const Region& region,
     }
     return n;
   }
+  LMK_CHECK_MSG(n == indexed_rows_,
+                "local store probed on fresh indices over %zu rows but the "
+                "store holds %zu: a writer skipped invalidate()",
+                indexed_rows_, n);
   // An empty store indexes zero dimensions; nothing can match.
   if (order_.empty()) return 0;
   const std::size_t dims = order_.size();

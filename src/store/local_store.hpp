@@ -17,6 +17,11 @@
 // every write; a store that settles goes sub-linear again after one
 // rebuild's worth of scans.
 //
+// Every writer must invalidate: a probe on fresh indices checks that the
+// store still holds as many rows as it indexed and aborts otherwise, so
+// a writer that changes the row count without invalidate() fails
+// loudly instead of probing rows a compaction left behind.
+//
 // Determinism contract: both the scan and the indexed probe append hits
 // in ascending entry index, so results are a pure function of the rows
 // and the region — independent of the store's build history, of
@@ -83,6 +88,7 @@ class LocalStore {
   // algorithm's handling of equal values.
   std::vector<std::vector<std::pair<double, std::uint32_t>>> order_;
   LocalStoreBuildStats stats_;
+  std::size_t indexed_rows_ = 0;  ///< entries.size() at the last build
   std::uint64_t charge_ = 0;  ///< entries scanned since the last invalidate
   bool built_ = false;
   bool stale_ = false;

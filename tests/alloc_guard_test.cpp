@@ -1,8 +1,8 @@
 // Tests for the allocation-discipline instrumentation
-// (common/alloc_guard.hpp). The phase-name plumbing must work in every
-// build; the counters only move when the build interposes operator
-// new/delete (-DLMK_ALLOC_GUARD=ON), so counter assertions are gated
-// on the macro and the plain build instead asserts they stay zero.
+// (common/alloc_guard.hpp). The counters only move when the build
+// interposes operator new/delete (-DLMK_ALLOC_GUARD=ON), so counter
+// assertions are gated on the macro and the plain build instead
+// asserts they stay zero.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,40 +13,6 @@
 
 namespace lmk {
 namespace {
-
-TEST(AllocPhase, ScopeInstallsAndRestoresName) {
-  EXPECT_EQ(current_alloc_phase(), nullptr);
-  {
-    AllocPhaseScope outer("outer");
-    EXPECT_STREQ(current_alloc_phase(), "outer");
-    {
-      AllocPhaseScope inner("inner");
-      EXPECT_STREQ(current_alloc_phase(), "inner");
-    }
-    EXPECT_STREQ(current_alloc_phase(), "outer");
-  }
-  EXPECT_EQ(current_alloc_phase(), nullptr);
-}
-
-TEST(AllocPhase, ExchangeReturnsPrevious) {
-  const char* prev = exchange_alloc_phase("manual");
-  EXPECT_EQ(prev, nullptr);
-  EXPECT_STREQ(current_alloc_phase(), "manual");
-  EXPECT_STREQ(exchange_alloc_phase(prev), "manual");
-  EXPECT_EQ(current_alloc_phase(), nullptr);
-}
-
-TEST(AllocPhase, NameIsPerThread) {
-  AllocPhaseScope phase("main-thread-phase");
-  const char* seen_on_worker = "sentinel";
-  std::thread worker(
-      [&] { seen_on_worker = current_alloc_phase(); });
-  worker.join();
-  // A fresh thread starts outside any phase; scopes do not leak
-  // across threads (the pool forwards phases explicitly per job).
-  EXPECT_EQ(seen_on_worker, nullptr);
-  EXPECT_STREQ(current_alloc_phase(), "main-thread-phase");
-}
 
 #ifdef LMK_ALLOC_GUARD
 

@@ -83,7 +83,11 @@ RunTrace run_scenario(std::uint64_t seed, RoutingMode routing) {
     for (int d = 0; d < 3; ++d) p.push_back(data_rng.uniform());
     points.push_back(std::move(p));
   }
-  platform.bulk_insert(scheme, points);
+  std::vector<double> rows;
+  for (const IndexPoint& p : points) {
+    rows.insert(rows.end(), p.begin(), p.end());
+  }
+  platform.bulk_insert_flat(scheme, rows, 3);
 
   // Four more nodes join through the Chord protocol while further
   // entries arrive through the network path.

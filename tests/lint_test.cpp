@@ -569,39 +569,6 @@ TEST(HotStdFunction, AllowCommentSuppresses) {
 
 // ----- arena-escape -----
 
-TEST(ArenaEscape, FlagsReturningArenaMemory) {
-  auto fs = lint_source(
-      "a.cpp",
-      "double* scratch() { return static_cast<double*>(a.allocate(n)); }\n");
-  EXPECT_TRUE(has_rule(fs, "arena-escape"));
-}
-
-TEST(ArenaEscape, FlagsMemberAssignmentOfArenaSpan) {
-  auto fs = lint_source(
-      "a.cpp", "void f() { coords_ = arena.allocate_span<double>(n); }\n");
-  EXPECT_TRUE(has_rule(fs, "arena-escape"));
-  auto gs = lint_source(
-      "a.cpp", "void f() { view_ = arena.guarded_span<double>(n); }\n");
-  EXPECT_TRUE(has_rule(gs, "arena-escape"));
-}
-
-TEST(ArenaEscape, LocalUseIsFine) {
-  auto fs = lint_source(
-      "a.cpp",
-      "void f() { auto s = arena.allocate_span<double>(n); use(s); }\n");
-  EXPECT_FALSE(has_rule(fs, "arena-escape"));
-}
-
-TEST(ArenaEscape, ArenaModuleIsExempt) {
-  FileOptions opts;
-  opts.arena_module = true;
-  auto fs = lint_source(
-      "a.cpp",
-      "double* scratch() { return static_cast<double*>(allocate(n)); }\n",
-      opts);
-  EXPECT_FALSE(has_rule(fs, "arena-escape"));
-}
-
 TEST(ArenaEscape, FlagsStoredEntryViews) {
   EXPECT_TRUE(has_rule(
       lint_source("a.cpp", "std::vector<EntryView> views;\n"),

@@ -5,13 +5,15 @@
 #include "common/parallel.hpp"
 
 #include <atomic>
+#include <functional>
 #include <gtest/gtest.h>
 #include <numeric>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "chord/ring.hpp"
-#include "core/index_platform.hpp"
+#include "core/typed_index.hpp"
 #include "eval/ground_truth.hpp"
 #include "landmark/mapper.hpp"
 #include "landmark/selection.hpp"
@@ -122,8 +124,7 @@ TEST(ParallelFor, NestedCallsRunInline) {
 }
 
 // ---------------------------------------------------------------------
-// parallel_tasks: task-level submission with bounded concurrency (the
-// sweep engine's substrate).
+// parallel_tasks: task-level submission (the sweep engine's substrate).
 // ---------------------------------------------------------------------
 
 TEST(ParallelTasks, CoversEveryTaskExactlyOnce) {
@@ -146,33 +147,6 @@ TEST(ParallelTasks, ZeroTasksNeverInvokes) {
   EXPECT_EQ(calls.load(), 0);
 }
 
-TEST(ParallelTasks, BoundedConcurrencyIsHonored) {
-  ThreadGuard guard;
-  set_threads(8);
-  for (std::size_t cap : {1u, 2u}) {
-    std::atomic<std::size_t> active{0};
-    std::atomic<std::size_t> peak{0};
-    std::atomic<int> ran{0};
-    parallel_tasks(
-        16,
-        [&](std::size_t) {
-          std::size_t now = active.fetch_add(1) + 1;
-          std::size_t seen = peak.load();
-          while (now > seen && !peak.compare_exchange_weak(seen, now)) {
-          }
-          // Busy-wait briefly so overlapping tasks would be observed.
-          std::atomic<int> spin{0};
-          while (spin.fetch_add(1, std::memory_order_relaxed) < 2000) {
-          }
-          ran.fetch_add(1);
-          active.fetch_sub(1);
-        },
-        cap);
-    EXPECT_EQ(ran.load(), 16);
-    EXPECT_LE(peak.load(), cap);
-  }
-}
-
 TEST(ParallelTasks, NestedParallelForDoesNotDeadlock) {
   ThreadGuard guard;
   set_threads(4);
@@ -185,8 +159,7 @@ TEST(ParallelTasks, NestedParallelForDoesNotDeadlock) {
         parallel_for(32, [&](std::size_t i) {
           hits[task * 32 + i].fetch_add(1);
         });
-      },
-      /*max_concurrent=*/2);
+      });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -266,22 +239,6 @@ TEST(ParallelDeterminism, GreedyBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(g1, g8);
 }
 
-TEST(ParallelDeterminism, MapperBitIdenticalAcrossThreadCounts) {
-  ThreadGuard guard;
-  SyntheticDataset data = small_dataset();
-  L2Space l2;
-  Rng rng(13);
-  auto landmarks =
-      greedy_selection(l2, std::span<const DenseVector>(data.points), 6, rng);
-  LandmarkMapper<L2Space> mapper(l2, landmarks,
-                                 uniform_boundary(6, 0, 1000));
-  set_threads(1);
-  auto m1 = mapper.map_all(std::span<const DenseVector>(data.points));
-  set_threads(8);
-  auto m8 = mapper.map_all(std::span<const DenseVector>(data.points));
-  EXPECT_EQ(m1, m8);
-}
-
 TEST(ParallelDeterminism, BulkInsertMatchesSequentialInsert) {
   ThreadGuard guard;
   SyntheticDataset data = small_dataset();
@@ -290,9 +247,14 @@ TEST(ParallelDeterminism, BulkInsertMatchesSequentialInsert) {
   auto landmarks =
       greedy_selection(l2, std::span<const DenseVector>(data.points), 4, rng);
   LandmarkMapper<L2Space> mapper(l2, landmarks, uniform_boundary(4, 0, 1000));
-  auto points = mapper.map_all(std::span<const DenseVector>(data.points));
 
-  auto build = [&](bool bulk, std::size_t threads) {
+  // Every node's store in ring order, entry by entry: (key, object,
+  // coordinates). Coordinates are compared bit for bit, so this also
+  // pins the landmark mapping across thread counts.
+  using Row = std::tuple<Id, std::uint64_t, std::vector<double>>;
+  using Placement = std::vector<std::pair<Id, std::vector<Row>>>;
+  using Load = std::function<void(LandmarkIndex<L2Space>&)>;
+  auto build = [&](std::size_t threads, const Load& load) {
     set_threads(threads);
     auto sim = std::make_unique<Simulator>();
     auto topo = std::make_unique<ConstantLatencyModel>(32, kMillisecond);
@@ -301,32 +263,46 @@ TEST(ParallelDeterminism, BulkInsertMatchesSequentialInsert) {
     for (HostId h = 0; h < 32; ++h) ring->create_node(h);
     ring->bootstrap();
     auto platform = std::make_unique<IndexPlatform>(*ring);
-    std::uint32_t sc =
-        platform->register_scheme("det", uniform_boundary(4, 0, 1000), false);
-    if (bulk) {
-      platform->bulk_insert(sc, points);
-    } else {
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        platform->insert(sc, i, points[i]);
-      }
-    }
-    // Serialize every node's store in ring order.
-    std::vector<std::pair<Id, std::vector<std::pair<Id, std::uint64_t>>>> out;
+    LandmarkIndex<L2Space> index(*platform, l2, mapper, "det");
+    load(index);
+    Placement out;
     for (const ChordNode* n : ring->alive_nodes()) {
-      std::vector<std::pair<Id, std::uint64_t>> entries;
-      for (EntryView e : platform->store(*n, sc)) {
-        entries.emplace_back(e.key, e.object);
+      std::vector<Row> rows;
+      for (EntryView e : platform->store(*n, index.scheme_id())) {
+        rows.emplace_back(e.key, e.object,
+                          std::vector<double>(e.point.begin(), e.point.end()));
       }
-      out.emplace_back(n->id(), std::move(entries));
+      out.emplace_back(n->id(), std::move(rows));
     }
     return out;
   };
 
-  auto sequential = build(false, 1);
-  auto bulk1 = build(true, 1);
-  auto bulk8 = build(true, 8);
-  EXPECT_EQ(sequential, bulk1);
-  EXPECT_EQ(bulk1, bulk8);
+  const Placement sequential = build(1, [&](LandmarkIndex<L2Space>& index) {
+    for (std::size_t i = 0; i < data.points.size(); ++i) {
+      index.insert(i, data.points[i]);
+    }
+  });
+  for (std::size_t threads : {1u, 8u}) {
+    EXPECT_EQ(build(threads,
+                    [&](LandmarkIndex<L2Space>& index) {
+                      index.bulk_load(data.points);
+                    }),
+              sequential)
+        << "bulk_load, threads " << threads;
+    for (std::size_t batch : {1u, 7u, 8192u}) {
+      EXPECT_EQ(build(threads,
+                      [&](LandmarkIndex<L2Space>& index) {
+                        index.stream_load(
+                            data.points.size(),
+                            [&](std::uint64_t i, DenseVector& out) {
+                              out = data.points[i];
+                            },
+                            batch);
+                      }),
+                sequential)
+          << "stream_load, batch " << batch << ", threads " << threads;
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // LocalStore: brute-force conformance in all three states a store can be
 // probed in (fresh build, stale scanning, amortized rebuild), exactness
 // over random mutation traces with probes between mutations, the probe
-// on which the deferred rebuild fires, ascending hit order, and the
-// platform's build accounting.
+// on which the deferred rebuild fires, the abort when a write skipped
+// invalidate(), ascending hit order, and the platform's build
+// accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -255,6 +256,17 @@ TEST(LocalStoreRebuildRule, AWriteRestartsTheCharge) {
   EXPECT_EQ(ls.stats().rebuilds, 1u);
   EXPECT_LT(ls.range(rows, narrow, out), rows.size());
   EXPECT_EQ(ls.stats().rebuilds, 2u);
+}
+
+TEST(LocalStoreDeathTest, FreshProbeAfterAnUninvalidatedWriteAborts) {
+  Rng rng(18);
+  EntryStore rows = random_store(rng, 100, 3);
+  LocalStore ls;
+  ls.build(rows);
+  rows.push_back(1000, 1000, IndexPoint{0.5, 0.5, 0.5});  // no invalidate()
+  std::vector<std::uint32_t> out;
+  EXPECT_DEATH(ls.range(rows, unit_region(3), out),
+               "fresh indices over 100 rows but the store holds 101");
 }
 
 // ---------------------------------------------------------------------

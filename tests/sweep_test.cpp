@@ -5,7 +5,6 @@
 #include "eval/sweep.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <gtest/gtest.h>
 #include <memory>
 #include <string>
@@ -53,10 +52,8 @@ TEST(SweepDriver, OutputsInDeclarationOrderAtAnyThreadCount) {
 
 TEST(SweepDriver, ResidentCapBoundsConcurrentCells) {
   ThreadGuard guard;
-  set_threads(8);
-  SweepDriver::Options opts;
-  opts.max_resident = 2;
-  SweepDriver driver(opts);
+  set_threads(2);
+  SweepDriver driver;
   std::atomic<std::size_t> active{0};
   std::atomic<std::size_t> peak{0};
   for (int c = 0; c < 10; ++c) {
@@ -77,22 +74,6 @@ TEST(SweepDriver, ResidentCapBoundsConcurrentCells) {
   EXPECT_EQ(outs.size(), 10u);
   EXPECT_LE(peak.load(), 2u);
   EXPECT_LE(driver.peak_resident(), 2u);
-}
-
-TEST(SweepDriver, ResidentCapFromEnvironment) {
-  ThreadGuard guard;
-  set_threads(8);
-  ::setenv("LMK_SWEEP_RESIDENT", "3", 1);
-  SweepDriver driver;
-  EXPECT_EQ(driver.resident_cap(), 3u);
-  ::unsetenv("LMK_SWEEP_RESIDENT");
-  EXPECT_EQ(driver.resident_cap(), 8u);  // falls back to the pool width
-  SweepDriver::Options opts;
-  opts.max_resident = 5;
-  ::setenv("LMK_SWEEP_RESIDENT", "3", 1);
-  SweepDriver explicit_cap(opts);
-  EXPECT_EQ(explicit_cap.resident_cap(), 5u);  // options beat the env var
-  ::unsetenv("LMK_SWEEP_RESIDENT");
 }
 
 // ---------------------------------------------------------------------

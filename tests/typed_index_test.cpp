@@ -1,6 +1,7 @@
 // Tests for the typed facade's extensions: k-NN by radius expansion,
 // landmark re-indexing (the paper's dynamic-dataset future work),
-// landmark quality scoring, and Rocchio query expansion.
+// batch-at-a-time streaming load, landmark quality scoring, and Rocchio
+// query expansion.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -191,6 +192,39 @@ TEST(RemoveTyped, RemovedObjectLeavesKnnResults) {
   ASSERT_TRUE(got.has_value());
   ASSERT_EQ(got->neighbors.size(), 1u);
   EXPECT_NE(got->neighbors[0], truth[0]);
+}
+
+// ----- streaming load -----
+
+TEST(StreamLoad, StagesOneBatchAtATime) {
+  TypedStack stack(16, 5);
+  L2Space space;
+  Rng rng(6);
+  std::vector<DenseVector> points;
+  for (int i = 0; i < 50; ++i) {
+    points.push_back({rng.uniform(0, 100), rng.uniform(0, 100)});
+  }
+  LandmarkIndex<L2Space> index(
+      *stack.platform, space,
+      LandmarkMapper<L2Space>(space, {points[0], points[1]},
+                              uniform_boundary(2, 0, 150)),
+      "stream");
+  // Object i is produced while exactly the batches before its own are
+  // indexed: a load that staged more than one batch, or placed a batch
+  // before producing all of it, reads a different count.
+  constexpr std::size_t kBatch = 7;
+  std::vector<std::size_t> indexed(points.size());
+  index.stream_load(
+      points.size(),
+      [&](std::uint64_t i, DenseVector& out) {
+        indexed[i] = stack.platform->scheme_entries(index.scheme_id());
+        out = points[i];
+      },
+      kBatch);
+  for (std::size_t i = 0; i < indexed.size(); ++i) {
+    EXPECT_EQ(indexed[i], i - i % kBatch) << "object " << i;
+  }
+  EXPECT_EQ(stack.platform->scheme_entries(index.scheme_id()), points.size());
 }
 
 // ----- landmark quality (refresh decision rule) -----

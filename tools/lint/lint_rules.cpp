@@ -33,15 +33,14 @@ namespace {
 
 /// Every identifier token any rule cares about, sorted (ASCII) for
 /// binary search. Adding a rule means adding its tokens here.
-constexpr std::array<std::string_view, 58> kIndexedTokens = {
+constexpr std::array<std::string_view, 55> kIndexedTokens = {
     "EntryView",     "_Exit",          "abort",
-    "alive_count",   "alive_nodes",    "allocate",
-    "allocate_span", "below",          "bootstrap",
-    "clock_gettime", "default_random_engine",
+    "alive_count",   "alive_nodes",    "below",
+    "bootstrap",     "clock_gettime",  "default_random_engine",
     "emplace",       "emplace_back",   "exit",
     "exponential",   "fix_fingers",    "fix_neighbors",
     "for",           "function",       "getrandom",
-    "gettimeofday",  "gmtime",         "guarded_span",
+    "gettimeofday",  "gmtime",
     "high_resolution_clock",           "localtime",
     "make_shared",   "make_unique",    "map",
     "minstd_rand",   "mt19937",        "mt19937_64",
@@ -758,7 +757,7 @@ void rule_hot_alloc(const Ctx& ctx) {
     if (after < stripped.size() && stripped[after] == '(') continue;
     ctx.report(pos, "hot-alloc",
                "'new' on a hot path is an owning heap allocation per "
-               "call; use the arena / a recycle pool, preallocate, or "
+               "call; use a recycle pool, preallocate, or "
                "justify with // lmk-lint: allow(hot-alloc)");
   }
 
@@ -767,9 +766,9 @@ void rule_hot_alloc(const Ctx& ctx) {
       if (!in_region(ctx.hot, pos)) continue;
       ctx.report(pos, "hot-alloc",
                  "'" + std::string(tok) +
-                     "' on a hot path heap-allocates per call; use the "
-                     "arena / a recycle pool, preallocate, or justify "
-                     "with // lmk-lint: allow(hot-alloc)");
+                     "' on a hot path heap-allocates per call; use a "
+                     "recycle pool, preallocate, or justify with "
+                     "// lmk-lint: allow(hot-alloc)");
     }
   }
 
@@ -855,74 +854,11 @@ void rule_hot_std_function(const Ctx& ctx) {
   }
 }
 
-// --- arena-escape: arena handles outliving the allocating scope ---
-// Applies file-wide (an escaped handle is a use-after-reset wherever it
-// happens). The arena module itself defines the entry points and is
-// exempt.
+// --- arena-escape: entry views outliving their statement ---
+// Applies file-wide (a stored view is a stale read wherever it
+// happens).
 void rule_arena_escape(const Ctx& ctx) {
-  if (ctx.opts->arena_module) return;
   const std::string_view stripped = ctx.stripped;
-
-  // Head of the statement containing `pos`: text from the previous
-  // ';' / '{' / '}' up to `pos`.
-  auto stmt_head = [&](std::size_t pos) {
-    std::size_t b = pos;
-    while (b > 0 && stripped[b - 1] != ';' && stripped[b - 1] != '{' &&
-           stripped[b - 1] != '}') {
-      --b;
-    }
-    return trim(stripped.substr(b, pos - b));
-  };
-  // `head` ends with a member assignment: `... foo_ =` (not ==, <=,
-  // +=, ...). The trailing-underscore convention identifies members.
-  auto assigns_member = [](std::string_view head) {
-    std::size_t eq = head.rfind('=');
-    if (eq == std::string_view::npos || eq == 0) return false;
-    char before = head[eq - 1];
-    if (before == '=' || before == '!' || before == '<' || before == '>' ||
-        before == '+' || before == '-' || before == '*' || before == '/' ||
-        before == '&' || before == '|' || before == '^') {
-      return false;
-    }
-    if (eq + 1 < head.size() && head[eq + 1] == '=') return false;
-    std::size_t e = eq;
-    while (e > 0 &&
-           std::isspace(static_cast<unsigned char>(head[e - 1])) != 0) {
-      --e;
-    }
-    return e > 0 && head[e - 1] == '_';
-  };
-
-  for (std::string_view tok : {"allocate", "allocate_span", "guarded_span"}) {
-    for (std::size_t pos : ctx.idx->positions(tok)) {
-      std::size_t after = skip_ws(stripped, pos + tok.size());
-      // Calls only (possibly through a template argument list).
-      if (after < stripped.size() && stripped[after] == '<') {
-        after = skip_angles(stripped, after);
-        if (after == std::string_view::npos) continue;
-        after = skip_ws(stripped, after);
-      }
-      if (after >= stripped.size() || stripped[after] != '(') continue;
-      std::string_view head = stmt_head(pos);
-      bool returns = head.substr(0, 6) == "return" &&
-                     (head.size() == 6 || !is_ident_char(head[6]));
-      if (returns) {
-        ctx.report(pos, "arena-escape",
-                   "returning the result of '" + std::string(tok) +
-                       "' hands arena memory to a caller that outlives "
-                       "the allocating scope; the next reset() recycles "
-                       "the bytes under it — copy out, or justify with "
-                       "// lmk-lint: allow(arena-escape)");
-      } else if (assigns_member(head)) {
-        ctx.report(pos, "arena-escape",
-                   "storing the result of '" + std::string(tok) +
-                       "' in a member keeps arena memory across calls; "
-                       "the next reset() recycles the bytes under it — "
-                       "copy out, or justify with "
-                       "// lmk-lint: allow(arena-escape)");
-      }
-    }
-  }
 
   // EntryView stored beyond a single expression: member declarations
   // (`EntryView foo_;` / `EntryView foo_ = ...`) and container elements
@@ -959,9 +895,8 @@ void rule_arena_escape(const Ctx& ctx) {
                  "EntryView stored in member '" + std::string(name) +
                      "' outlives the statement that created it; any "
                      "EntryStore mutation invalidates its point span — "
-                     "store (key, object, owned point) or use "
-                     "checked_view(), or justify with "
-                     "// lmk-lint: allow(arena-escape)");
+                     "store (key, object, owned point) instead, or "
+                     "justify with // lmk-lint: allow(arena-escape)");
     }
   }
 }

@@ -63,12 +63,12 @@
 //
 // Allocation-discipline rules. The flagship perf contract (DESIGN.md
 // "Allocation discipline") is that the simulation engine's steady state
-// allocates nothing: arenas and recycle pools absorb all churn. These
-// rules police the code paths that contract depends on. They apply
-// only inside *hot-path regions*: whole files placed on the driver's
-// curated list (FileOptions.hot_path — the event engine, EventClosure,
-// the simulator loop), or regions delimited in any file by a
-// `// lmk-hot-path` comment and closed by `// lmk-hot-path-end`
+// allocates nothing: reused buffers and recycle pools absorb all churn.
+// These rules police the code paths that contract depends on. They
+// apply only inside *hot-path regions*: whole files placed on the
+// driver's curated list (FileOptions.hot_path — the event engine,
+// EventClosure, the simulator loop), or regions delimited in any file
+// by a `// lmk-hot-path` comment and closed by `// lmk-hot-path-end`
 // (arena-escape applies file-wide; see below).
 //
 //   hot-alloc            Owning heap allocation on a hot path: `new`
@@ -77,7 +77,7 @@
 //                        growth calls (push_back / emplace_back /
 //                        emplace) on a receiver with no `.reserve(`
 //                        call anywhere in the file or its companion
-//                        header. Preallocate, use the arena, or justify
+//                        header. Preallocate, use a recycle pool, or justify
 //                        with `// lmk-lint: allow(hot-alloc) <reason>`
 //                        (capacity-warmup growth that amortizes to zero
 //                        is the expected justification).
@@ -136,16 +136,14 @@
 //                        justification:
 //                        `// lmk-lint: allow(raw-schedule) <reason>`.
 //
-//   arena-escape         Arena-allocated memory escaping the
-//                        allocating scope (file-wide, not only hot
-//                        regions): `return`ing the result of
-//                        allocate / allocate_span / guarded_span,
-//                        assigning it to a member (`foo_ = ...`), or
-//                        storing an EntryView in a member / container
-//                        element. Arena reset() recycles the bytes and
-//                        EntryStore mutation invalidates views, so an
-//                        escaped handle is a use-after-reset waiting to
-//                        happen. Copy out, or justify with
+//   arena-escape         An EntryView stored beyond the statement
+//                        that created it (file-wide, not only hot
+//                        regions): in a member (`EntryView foo_;`) or
+//                        a container element (`vector<EntryView>`).
+//                        Any EntryStore mutation invalidates the
+//                        view's point span, so a stored view is a
+//                        stale read waiting to happen. Copy out, or
+//                        justify with
 //                        `// lmk-lint: allow(arena-escape) <reason>`.
 //
 // Any rule can be suppressed for one line with
@@ -191,9 +189,6 @@ struct FileOptions {
   /// engine, EventClosure, the simulator loop). The allocation rules
   /// apply everywhere in it, no markers needed.
   bool hot_path = false;
-  /// src/common/arena.*: defines the allocation entry points the
-  /// arena-escape rule keys on, so it is exempt from that rule.
-  bool arena_module = false;
   /// Whole file is a message-handler region (driver's curated list:
   /// the query routers, the load balancer). The handler-discipline
   /// rules apply everywhere in it, no markers needed.

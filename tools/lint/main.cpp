@@ -41,7 +41,6 @@ lmk::lint::FileOptions options_for(const std::string& path) {
                           "sim/simulator"}) {
     if (path.find(hot) != std::string::npos) opts.hot_path = true;
   }
-  opts.arena_module = path.find("common/arena") != std::string::npos;
   // Curated whole-file handler list: every line of the query routers
   // and the load balancer runs inside (or directly feeds) message
   // deliveries, so the handler-discipline rules apply throughout. The
