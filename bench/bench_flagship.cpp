@@ -17,7 +17,8 @@
 //     for any LMK_THREADS; CI compares this section across thread
 //     counts (LMK_FLAGSHIP_DET_OUT writes it to its own file).
 //   - "wallclock": build/oracle/drain wall times and rates for this
-//     machine (regression-gated loosely by scripts/bench_diff.py).
+//     machine (informational; scripts/bench_diff.py gates only the
+//     deterministic section).
 //
 // Scale: the default is a smoke configuration that finishes in seconds;
 // LMK_FULL=1 selects the flagship 10000-node / 1,000,000-object run.
@@ -368,9 +369,6 @@ int run() {
               static_cast<unsigned long long>(pool.high_water));
   std::printf("recall@10 (sampled, %zu queries): %.3f  (oracle %.3fs)\n",
               sampled.size(), recall_acc.mean(), t_oracle);
-  std::printf("local store: %s, %.1f scanned per subquery\n",
-              platform.local_store_name(index.scheme_id()),
-              subqueries.sum() > 0 ? scanned.sum() / subqueries.sum() : 0.0);
   std::printf("query phase: %.3fs wall, %llu sim events, %llu incomplete\n",
               t_query, static_cast<unsigned long long>(sim_events),
               static_cast<unsigned long long>(incomplete));
@@ -395,7 +393,6 @@ int run() {
       "\"pool_hits\": %llu},\n"
       "    \"recall\": {\"sampled\": %zu, \"mean\": %.6f},\n"
       "    \"subqueries_per_query\": %.6f,\n"
-      "    \"local_store\": \"%s\",\n"
       "    \"scanned_per_subquery\": %.6f,\n"
       "    \"incomplete\": %llu,\n"
       "    \"sim_events\": %llu\n"
@@ -410,7 +407,6 @@ int run() {
       static_cast<unsigned long long>(pool.acquires),
       static_cast<unsigned long long>(pool.hits), sampled.size(),
       recall_acc.mean(), subqueries.mean(),
-      platform.local_store_name(index.scheme_id()),
       subqueries.sum() > 0 ? scanned.sum() / subqueries.sum() : 0.0,
       static_cast<unsigned long long>(incomplete),
       static_cast<unsigned long long>(sim_events));

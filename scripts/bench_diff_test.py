@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Tests for scripts/bench_diff.py error handling and the alloc gate.
+"""Tests for scripts/bench_diff.py, the flagship deterministic gate.
 
-Runs bench_diff.py as a subprocess (the way CI and check.sh invoke it)
-and asserts on exit codes and messages: malformed input must produce a
-one-line readable error (never a traceback), and the zero-allocation
-hard gate must fail even under --warn-only.
+Runs bench_diff.py as a subprocess (the way check.sh invokes it) and
+asserts on exit codes and messages: each ceiling and the recall floor
+must fail the gate, and malformed input must produce a one-line
+readable error (never a traceback).
 """
 
 import json
@@ -18,32 +18,17 @@ SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "bench_diff.py")
 
 
-def perf_doc(alloc=None):
-    """A minimal well-formed BENCH_perf.json document."""
-    doc = {
-        "online": {
-            "engine_events_per_sec": 1000000.0,
-            "queries_per_sec": 50.0,
-            "scanned_per_subquery": 10.0,
-        },
-    }
-    if alloc is not None:
-        doc["alloc"] = alloc
-    return doc
-
-
-def flagship_doc(recall=0.95, scanned=70.0):
+def flagship_doc(p99=800.0, wire=5000000.0, recall=0.95, scanned=70.0):
     """A minimal well-formed BENCH_flagship.json document."""
-    doc = {
+    return {
         "scale": {"nodes": 256, "objects": 20000},
         "deterministic": {
-            "latency_ms": {"p99": 800.0},
-            "wire": {"total_bytes": 5000000.0},
+            "latency_ms": {"p99": p99},
+            "wire": {"total_bytes": wire},
             "recall": {"sampled": 25, "mean": recall},
             "scanned_per_subquery": scanned,
         },
     }
-    return doc
 
 
 class BenchDiffTest(unittest.TestCase):
@@ -60,10 +45,10 @@ class BenchDiffTest(unittest.TestCase):
                 json.dump(content, f)
         return path
 
-    def run_diff(self, baseline, current, *extra):
+    def run_flagship(self, baseline, current):
         return subprocess.run(
-            [sys.executable, SCRIPT, "--baseline", baseline,
-             "--current", current, *extra],
+            [sys.executable, SCRIPT, "--flagship-baseline", baseline,
+             "--flagship", current],
             capture_output=True, text=True, check=False)
 
     def assert_readable_failure(self, proc, needle):
@@ -72,94 +57,6 @@ class BenchDiffTest(unittest.TestCase):
         self.assertNotIn("Traceback", combined)
         self.assertIn(needle, combined)
 
-    def test_matching_runs_pass(self):
-        base = self.write("base.json", perf_doc())
-        cur = self.write("cur.json", perf_doc())
-        proc = self.run_diff(base, cur)
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        self.assertIn("bench_diff: OK", proc.stdout)
-
-    def test_missing_file_is_readable(self):
-        base = self.write("base.json", perf_doc())
-        missing = os.path.join(self.tmp.name, "nope.json")
-        proc = self.run_diff(base, missing)
-        self.assert_readable_failure(proc, "cannot read")
-
-    def test_invalid_json_is_readable(self):
-        base = self.write("base.json", perf_doc())
-        cur = self.write("cur.json", "{not json")
-        proc = self.run_diff(base, cur)
-        self.assert_readable_failure(proc, "cannot read")
-
-    def test_missing_online_section_is_readable(self):
-        base = self.write("base.json", perf_doc())
-        cur = self.write("cur.json", {"sweep": {}})
-        proc = self.run_diff(base, cur)
-        self.assert_readable_failure(proc, "no \"online\" section")
-
-    def test_missing_metric_is_readable(self):
-        base = self.write("base.json", perf_doc())
-        doc = perf_doc()
-        del doc["online"]["engine_events_per_sec"]
-        cur = self.write("cur.json", doc)
-        proc = self.run_diff(base, cur)
-        self.assert_readable_failure(proc, "engine_events_per_sec")
-
-    def test_non_numeric_metric_is_readable(self):
-        base = self.write("base.json", perf_doc())
-        doc = perf_doc()
-        doc["online"]["queries_per_sec"] = "fast"
-        cur = self.write("cur.json", doc)
-        proc = self.run_diff(base, cur)
-        self.assert_readable_failure(proc, "is not a number")
-
-    def test_alloc_gate_passes_on_zero_steady_state(self):
-        base = self.write("base.json", perf_doc())
-        cur = self.write("cur.json", perf_doc(alloc={
-            "guard_enabled": True,
-            "engine_warmup": {"allocs": 123, "frees": 4,
-                              "alloc_bytes": 9000, "free_bytes": 100},
-            "engine_steady_state": {"allocs": 0, "frees": 0,
-                                    "alloc_bytes": 0, "free_bytes": 0},
-        }))
-        proc = self.run_diff(base, cur)
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        self.assertIn("alloc gate OK", proc.stdout)
-
-    def test_alloc_gate_fails_hard_even_with_warn_only(self):
-        base = self.write("base.json", perf_doc())
-        cur = self.write("cur.json", perf_doc(alloc={
-            "guard_enabled": True,
-            "engine_warmup": {"allocs": 123, "frees": 4,
-                              "alloc_bytes": 9000, "free_bytes": 100},
-            "engine_steady_state": {"allocs": 7, "frees": 7,
-                                    "alloc_bytes": 448,
-                                    "free_bytes": 448},
-        }))
-        proc = self.run_diff(base, cur, "--warn-only")
-        self.assert_readable_failure(proc, "HARD FAILURE")
-        self.assertIn("allocation-free", proc.stderr)
-
-    def test_alloc_gate_skipped_when_guard_disabled(self):
-        base = self.write("base.json", perf_doc())
-        cur = self.write("cur.json", perf_doc(alloc={
-            "guard_enabled": False,
-            "engine_warmup": {"allocs": 0, "frees": 0,
-                              "alloc_bytes": 0, "free_bytes": 0},
-            "engine_steady_state": {"allocs": 0, "frees": 0,
-                                    "alloc_bytes": 0, "free_bytes": 0},
-        }))
-        proc = self.run_diff(base, cur)
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        self.assertIn("alloc gate skipped", proc.stdout)
-
-    def run_flagship(self, baseline, current, *extra):
-        return subprocess.run(
-            [sys.executable, SCRIPT, "--flagship-only",
-             "--flagship-baseline", baseline, "--flagship", current,
-             *extra],
-            capture_output=True, text=True, check=False)
-
     def test_flagship_matching_runs_pass(self):
         base = self.write("fbase.json", flagship_doc())
         cur = self.write("fcur.json", flagship_doc())
@@ -167,18 +64,23 @@ class BenchDiffTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
         self.assertIn("bench_diff: OK", proc.stdout)
 
+    def test_flagship_p99_ceiling_fails(self):
+        base = self.write("fbase.json", flagship_doc(p99=800.0))
+        cur = self.write("fcur.json", flagship_doc(p99=900.0))
+        proc = self.run_flagship(base, cur)
+        self.assert_readable_failure(proc, "p99 latency grew")
+
+    def test_flagship_wire_ceiling_fails(self):
+        base = self.write("fbase.json", flagship_doc(wire=5000000.0))
+        cur = self.write("fcur.json", flagship_doc(wire=5600000.0))
+        proc = self.run_flagship(base, cur)
+        self.assert_readable_failure(proc, "wire bytes grew")
+
     def test_flagship_recall_floor_fails(self):
         base = self.write("fbase.json", flagship_doc())
         cur = self.write("fcur.json", flagship_doc(recall=0.62))
         proc = self.run_flagship(base, cur)
         self.assert_readable_failure(proc, "recall 0.620 fell below")
-
-    def test_flagship_recall_floor_is_tunable(self):
-        base = self.write("fbase.json", flagship_doc())
-        cur = self.write("fcur.json", flagship_doc(recall=0.62))
-        proc = self.run_flagship(base, cur, "--flagship-recall-floor",
-                                 "0.5")
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
 
     def test_flagship_scan_ceiling_fails(self):
         base = self.write("fbase.json", flagship_doc(scanned=70.0))
@@ -195,15 +97,39 @@ class BenchDiffTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
         self.assertIn("scale mismatch", proc.stdout)
 
-    def test_soft_regression_respects_warn_only(self):
-        base = self.write("base.json", perf_doc())
-        doc = perf_doc()
-        doc["online"]["engine_events_per_sec"] = 1000.0  # 1000x slower
-        cur = self.write("cur.json", doc)
-        self.assertNotEqual(self.run_diff(base, cur).returncode, 0)
-        proc = self.run_diff(base, cur, "--warn-only")
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        self.assertIn("REGRESSION", proc.stdout)
+    def test_missing_file_is_readable(self):
+        base = self.write("fbase.json", flagship_doc())
+        missing = os.path.join(self.tmp.name, "nope.json")
+        proc = self.run_flagship(base, missing)
+        self.assert_readable_failure(proc, "cannot read")
+
+    def test_invalid_json_is_readable(self):
+        base = self.write("fbase.json", flagship_doc())
+        cur = self.write("fcur.json", "{not json")
+        proc = self.run_flagship(base, cur)
+        self.assert_readable_failure(proc, "cannot read")
+
+    def test_missing_deterministic_section_is_readable(self):
+        base = self.write("fbase.json", flagship_doc())
+        cur = self.write("fcur.json", {"scale": {}})
+        proc = self.run_flagship(base, cur)
+        self.assert_readable_failure(proc, "no \"deterministic\" section")
+
+    def test_missing_metric_is_readable(self):
+        base = self.write("fbase.json", flagship_doc())
+        doc = flagship_doc()
+        del doc["deterministic"]["wire"]["total_bytes"]
+        cur = self.write("fcur.json", doc)
+        proc = self.run_flagship(base, cur)
+        self.assert_readable_failure(proc, "missing \"wire.total_bytes\"")
+
+    def test_non_numeric_metric_is_readable(self):
+        base = self.write("fbase.json", flagship_doc())
+        doc = flagship_doc()
+        doc["deterministic"]["latency_ms"]["p99"] = "fast"
+        cur = self.write("fcur.json", doc)
+        proc = self.run_flagship(base, cur)
+        self.assert_readable_failure(proc, "is not a number")
 
 
 if __name__ == "__main__":

@@ -19,34 +19,24 @@
 #                                       #   5. ASan, UBSan, TSan builds + ctest
 #                                       #   6. alloc-guard leg (below)
 #                                       #   7. sched smoke (below)
-#   scripts/check.sh --alloc-guard [--warn-only]
-#                                       # allocation-discipline leg: build
+#   scripts/check.sh --alloc-guard      # allocation-discipline leg: build
 #                                       # with -DLMK_ALLOC_GUARD=ON
 #                                       # (operator new/delete
-#                                       # interposed), ctest,
-#                                       # then a toy-scale bench_perf whose
-#                                       # per-phase allocation JSON feeds
-#                                       # bench_diff.py's zero-steady-state-
-#                                       # allocation gate (a HARD gate: it
-#                                       # fails even under --warn-only)
-#   scripts/check.sh --bench-smoke [--warn-only]
-#                                       # toy-scale online bench_perf run +
-#                                       # bench_diff.py events/sec regression
-#                                       # check against the committed
-#                                       # bench/BENCH_perf.baseline.json
-#                                       # (--warn-only: report, never fail —
-#                                       # what CI uses on shared runners)
-#   scripts/check.sh --flagship-smoke [--warn-only]
-#                                       # reduced-scale bench_flagship run
-#                                       # (256 nodes / 20k objects), twice:
-#                                       # LMK_THREADS=1 and =8, byte-compares
-#                                       # the deterministic JSON sections
-#                                       # (that cmp fails hard even under
-#                                       # --warn-only), then bench_diff.py
-#                                       # --flagship-only gates p99 latency,
-#                                       # bytes on the wire, recall and
-#                                       # scanned entries per subquery
-#                                       # against the committed
+#                                       # interposed) + ctest; the gate is
+#                                       # AllocGuard.EngineSteadyState-
+#                                       # DispatchAllocatesNothing (zero
+#                                       # steady-state allocations in an
+#                                       # event-engine storm)
+#   scripts/check.sh --flagship-smoke   # thread-count determinism + the
+#                                       # flagship gate: the fig2 sweep at
+#                                       # toy scale and the reduced-scale
+#                                       # bench_flagship run (256 nodes /
+#                                       # 20k objects), each at
+#                                       # LMK_THREADS=1 and =8 with a byte
+#                                       # compare, then bench_diff.py gates
+#                                       # p99 latency, bytes on the wire,
+#                                       # recall and scanned entries per
+#                                       # subquery against the committed
 #                                       # bench/BENCH_flagship.baseline.json
 #   scripts/check.sh --sched-smoke      # schedule & fault exploration gate:
 #                                       # a small lmk-sched seed swarm must
@@ -142,23 +132,14 @@ run_audit() {
   LMK_AUDIT=1 ctest --test-dir build-check --output-on-failure -j"$(nproc)"
 }
 
-run_bench_smoke() {
-  echo "== check.sh: bench smoke (toy-scale online bench_perf) =="
+run_flagship_smoke() {
   cmake -B build-check -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DLMK_WERROR=ON >/dev/null
   cmake --build build-check -j"$(nproc)" \
-    --target bench_perf bench_fig2_synthetic_nolb >/dev/null
-  # Toy scale: the offline phases shrink with the workload, while the
-  # engine storm (events/sec, the number bench_diff gates on) measures
-  # per-event dispatch cost, which is scale-independent.
-  LMK_NODES=64 LMK_OBJECTS=2000 LMK_QUERIES=30 LMK_SAMPLE=200 \
-    LMK_ONLINE_EVENTS=1000000 \
-    LMK_PERF_OUT=build-check/BENCH_perf.smoke.json \
-    LMK_PERF_BASELINE=bench/BENCH_perf.baseline.json \
-    ./build-check/bench/bench_perf
+    --target bench_flagship bench_fig2_synthetic_nolb >/dev/null
   # Sweep-engine determinism: one figure sweep must emit byte-identical
   # tables strictly serial (LMK_THREADS=1) and parallel (LMK_THREADS=8).
-  echo "== check.sh: bench smoke (fig2 sweep, 1 vs 8 threads) =="
+  echo "== check.sh: flagship smoke (fig2 sweep, 1 vs 8 threads) =="
   LMK_NODES=64 LMK_OBJECTS=2000 LMK_QUERIES=30 LMK_SAMPLE=200 \
     LMK_THREADS=1 ./build-check/bench/bench_fig2_synthetic_nolb \
     > build-check/fig2_sweep.t1.out
@@ -166,15 +147,8 @@ run_bench_smoke() {
     LMK_THREADS=8 ./build-check/bench/bench_fig2_synthetic_nolb \
     > build-check/fig2_sweep.t8.out
   cmp build-check/fig2_sweep.t1.out build-check/fig2_sweep.t8.out
-  echo "bench smoke: fig2 sweep byte-identical at 1 and 8 threads"
-  scripts/bench_diff.py --current build-check/BENCH_perf.smoke.json "$@"
-}
-
-run_flagship_smoke() {
+  echo "flagship smoke: fig2 sweep byte-identical at 1 and 8 threads"
   echo "== check.sh: flagship smoke (reduced open-loop scenario) =="
-  cmake -B build-check -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DLMK_WERROR=ON >/dev/null
-  cmake --build build-check -j"$(nproc)" --target bench_flagship >/dev/null
   # The deterministic section (virtual-time latency, wire bytes, memory
   # marks, recall) must be byte-identical at any thread count; only the
   # wallclock section may differ.  Run the reduced scenario serial and
@@ -189,8 +163,7 @@ run_flagship_smoke() {
     ./build-check/bench/bench_flagship >/dev/null
   cmp build-check/flagship_det.t1.json build-check/flagship_det.t8.json
   echo "flagship smoke: deterministic section byte-identical at 1 and 8 threads"
-  scripts/bench_diff.py --flagship-only \
-    --flagship build-check/BENCH_flagship.smoke.json "$@"
+  scripts/bench_diff.py --flagship build-check/BENCH_flagship.smoke.json
 }
 
 run_alloc_guard() {
@@ -201,35 +174,17 @@ run_alloc_guard() {
     -DLMK_WERROR=ON -DLMK_ALLOC_GUARD=ON
   cmake --build build-check-allocguard -j"$(nproc)"
   ctest --test-dir build-check-allocguard --output-on-failure -j"$(nproc)"
-  # Toy-scale storm: the steady-state phase must report zero allocations
-  # (bench_diff's hard gate); scale does not matter, per-event behaviour
-  # does.
-  LMK_NODES=64 LMK_OBJECTS=2000 LMK_QUERIES=30 LMK_SAMPLE=200 \
-    LMK_ONLINE_EVENTS=1000000 \
-    LMK_PERF_OUT=build-check-allocguard/BENCH_perf.allocguard.json \
-    ./build-check-allocguard/bench/bench_perf
-  scripts/bench_diff.py \
-    --current build-check-allocguard/BENCH_perf.allocguard.json "$@"
 }
 
 if [ "${1:-}" = "--alloc-guard" ]; then
-  shift
-  run_alloc_guard "$@"
+  run_alloc_guard
   echo "check.sh: OK (alloc-guard leg)"
   exit 0
 fi
 
 if [ "${1:-}" = "--flagship-smoke" ]; then
-  shift
-  run_flagship_smoke "$@"
+  run_flagship_smoke
   echo "check.sh: OK (flagship smoke)"
-  exit 0
-fi
-
-if [ "${1:-}" = "--bench-smoke" ]; then
-  shift
-  run_bench_smoke "$@"
-  echo "check.sh: OK (bench smoke)"
   exit 0
 fi
 

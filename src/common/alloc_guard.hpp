@@ -15,9 +15,10 @@
 //
 // Counters are per-thread (plain thread_local loads/stores, no atomics,
 // no contention), so a scope measures exactly the work its own thread
-// did. The bench harnesses report per-phase deltas into their JSON and
-// scripts/bench_diff.py enforces a hard gate of zero steady-state
-// allocations in the engine storm phase.
+// did. tests/alloc_guard_test.cpp's
+// AllocGuard.EngineSteadyStateDispatchAllocatesNothing runs an event
+// storm in the alloc-guard build and requires zero steady-state
+// allocations.
 //
 // Without the CMake option everything here compiles to no-ops:
 // alloc_guard_enabled() is false and counters stay zero.

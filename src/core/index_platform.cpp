@@ -300,8 +300,8 @@ void IndexPlatform::on_sent(std::uint64_t qid, std::uint64_t bytes) {
 }
 
 // lmk-hot-path: on_solve + flush_reply run once per subquery per index
-// node — the per-event cost of the whole query storm. The alloc-guard
-// bench gate holds this region to zero steady-state allocations.
+// node — the per-event cost of the whole query storm. lmk-lint's
+// hot-alloc rule checks this region statically for owning allocations.
 void IndexPlatform::on_solve(const RangeQuery& q, ChordNode& node) {
   auto it = active_.find(q.qid);
   LMK_CHECK(it != active_.end());

@@ -201,7 +201,7 @@ class IndexPlatform {
 
   /// The local-store configuration of scheme `id`. There are no knobs:
   /// every scheme runs the one store. This and local_store_name remain
-  /// for perfbench/program.hpp and the flagship JSON.
+  /// only for perfbench/program.hpp.
   [[nodiscard]] const LocalStoreOptions& local_store_options(
       std::uint32_t id) const;
 

@@ -87,7 +87,7 @@ void clamp_region(Region& region, const Boundary& boundary);
 
 /// L∞ distance from `point` to the axis-aligned box (0 for any point
 /// inside it, closed-interval semantics). The brute-force membership
-/// test that store_test and bench_perf check LocalStore probes against.
+/// test that store_test checks LocalStore probes against.
 [[nodiscard]] inline double linf_box_distance(std::span<const double> point,
                                               const Region& box) {
   double dist = 0.0;

@@ -50,7 +50,8 @@ class EventClosure {
     } else {
       // Cold fallback: only captures over 64 bytes land here, and the
       // engine's routine continuations all fit inline (the alloc-guard
-      // bench gate proves the steady state is allocation-free).
+      // build's AllocGuard.EngineSteadyStateDispatchAllocatesNothing
+      // proves the steady state is allocation-free).
       // lmk-lint: allow(hot-alloc) oversized-capture cold fallback
       *reinterpret_cast<D**>(buf_) = new D(std::forward<F>(f));
       ops_ = &kHeapOps<D>;

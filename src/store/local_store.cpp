@@ -44,8 +44,8 @@ void LocalStore::build(const EntryStore& entries) {
 }
 
 // lmk-hot-path: range runs once per subquery per index node — the
-// per-event cost of the whole query storm. The alloc-guard bench gate
-// holds the solver path to zero steady-state allocations.
+// per-event cost of the whole query storm. lmk-lint's hot-alloc rule
+// checks the solver path statically for owning allocations.
 std::size_t LocalStore::range(const EntryStore& entries, const Region& region,
                               std::vector<std::uint32_t>& out) {
   const std::size_t n = entries.size();

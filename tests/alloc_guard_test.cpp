@@ -5,11 +5,13 @@
 // asserts they stay zero.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/alloc_guard.hpp"
+#include "sim/simulator.hpp"
 
 namespace lmk {
 namespace {
@@ -36,8 +38,9 @@ TEST(AllocGuard, CountsNewAndDelete) {
 }
 
 TEST(AllocGuard, DeltaIsZeroOverAllocationFreeRegion) {
-  // The property the bench gate enforces: code that does not touch
-  // the allocator reports an exactly-zero delta, no noise floor.
+  // What EngineSteadyStateDispatchAllocatesNothing relies on: code
+  // that does not touch the allocator reports an exactly-zero delta,
+  // no noise floor.
   AllocPhaseScope phase("quiet");
   volatile int sink = 0;
   for (int i = 0; i < 1000; ++i) sink = sink + i;
@@ -68,6 +71,64 @@ TEST(AllocGuard, CountersArePerThread) {
   AllocCounters quiet_after = phase.delta();
   EXPECT_EQ(quiet_after.allocs - quiet_before.allocs, 0u);
   EXPECT_GE(phase.delta().allocs, before.allocs);
+}
+
+/// Pure event-engine load: `chains` self-rescheduling events hammer
+/// push/pop/dispatch with mixed delays (heavy same-timestamp ties) and
+/// actor tags until `budget` events have fired. No protocol work, so
+/// any allocation it makes belongs to the queue and closure machinery.
+struct DispatchStorm {
+  Simulator sim;
+  std::uint64_t remaining;
+
+  DispatchStorm(std::uint64_t budget, std::size_t chains)
+      : remaining(budget) {
+    for (std::size_t c = 0; c < chains; ++c) {
+      arm(static_cast<SimTime>(c % 7), 0x9e3779b97f4a7c15ull + c);
+    }
+  }
+  // Queued closures hold `this`.
+  DispatchStorm(const DispatchStorm&) = delete;
+  DispatchStorm& operator=(const DispatchStorm&) = delete;
+
+  void arm(SimTime delay, std::uint64_t salt) {
+    // 56-byte capture (this, salt, 5-word payload), sized like the tree
+    // router's batched delivery closure. The payload feeds back into
+    // the salt so the optimizer cannot shed it.
+    std::uint64_t payload[5] = {salt ^ 0xa076'1d64'78bd'642full,
+                                salt * 0xe703'7ed1'a0b4'28dbull,
+                                salt + 0x8ebc'6af0'9c88'c6e3ull,
+                                salt ^ (salt >> 33), ~salt};
+    sim.schedule_after(
+        delay, [this, salt, payload] { fire(salt ^ payload[salt & 3]); },
+        /*actor=*/salt & 1023);
+  }
+
+  void fire(std::uint64_t salt) {
+    if (remaining == 0) return;
+    --remaining;
+    // xorshift keeps the delay pattern (and heap shape) churning.
+    salt ^= salt << 13;
+    salt ^= salt >> 7;
+    salt ^= salt << 17;
+    arm(static_cast<SimTime>(salt % 5), salt);
+  }
+};
+
+TEST(AllocGuard, EngineSteadyStateDispatchAllocatesNothing) {
+  // The zero steady-state allocation contract of the event engine
+  // (DESIGN.md "Allocation discipline"): once the bucket, heap and
+  // closure pools have reached their high-water capacity, dispatching
+  // routine closures never touches the allocator.
+  constexpr std::uint64_t kEvents = 1000000;
+  DispatchStorm storm(kEvents, /*chains=*/4096);
+  storm.sim.run(kEvents / 4);  // warmup: the pools grow here
+  AllocPhaseScope phase("engine-steady-state");
+  storm.sim.run();
+  AllocCounters steady = phase.delta();
+  EXPECT_EQ(steady.allocs, 0u);
+  EXPECT_EQ(steady.frees, 0u);
+  EXPECT_EQ(storm.remaining, 0u);
 }
 
 #else  // !LMK_ALLOC_GUARD

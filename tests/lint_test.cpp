@@ -111,11 +111,11 @@ TEST(BannedSource, RngModuleIsExempt) {
 TEST(WallClock, BenchMayReadWallClocksButNotEntropy) {
   FileOptions opts;
   opts.bench = true;
-  EXPECT_TRUE(lint_source("bench/bench_perf.cpp",
+  EXPECT_TRUE(lint_source("bench/bench_flagship.cpp",
                           "auto t0 = std::chrono::steady_clock::now();\n",
                           opts)
                   .empty());
-  EXPECT_TRUE(has_rule(lint_source("bench/bench_perf.cpp",
+  EXPECT_TRUE(has_rule(lint_source("bench/bench_flagship.cpp",
                                    "std::random_device rd;\n", opts),
                        "banned-source"));
 }

@@ -738,8 +738,9 @@ void rule_unordered_iteration(const Ctx& ctx) {
 
 // --- hot-alloc: owning heap allocation inside hot-path regions ---
 // The engine steady-state contract is zero allocations per event
-// (enforced dynamically by the LMK_ALLOC_GUARD bench gate); this rule
-// catches the sources at review time. Placement new is exempt (it
+// (enforced dynamically for the event engine by the LMK_ALLOC_GUARD
+// build's AllocGuard.EngineSteadyStateDispatchAllocatesNothing); this
+// rule catches the sources at review time. Placement new is exempt (it
 // binds storage the caller already owns); growth calls are exempt when
 // the receiver has a reserve() call in the file or companion header
 // (capacity warmup, amortizes to zero).
