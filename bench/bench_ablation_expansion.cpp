@@ -62,7 +62,7 @@ int main() {
       Rng rng(scale.seed + 31);
       for (std::size_t qi = 0; qi < probe_count; ++qi) {
         const SparseVector& q = w.queries[qi];
-        auto truth = knn_bruteforce(
+        auto truth = knn_bruteforce_with(
             docs.size(),
             [&](std::size_t j) { return w.space.distance(q, docs[j]); }, 10);
         ChordNode* origin = nodes[rng.below(nodes.size())];

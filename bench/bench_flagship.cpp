@@ -6,16 +6,16 @@
 // into the index (the corpus is a seeded function, never materialized),
 // then an open-loop Poisson arrival stream with Zipf-skewed topic
 // popularity fires range queries on its own clock — arrivals do not wait
-// for completions, so per-node queue depth and tail latency are
+// for completions, so concurrent queries and tail latency are
 // observable instead of being hidden by back-pressure.
 //
 // Reported, split into two JSON sections:
 //   - "deterministic": everything derived from virtual time and the
-//     seeds — latency percentiles (p50/p99/p999 exact + P² streaming
-//     estimates), per-node reply-queue depth, bytes on the wire,
-//     sampled recall, store/pool memory counters. Byte-identical
-//     for any LMK_THREADS; CI compares this section across thread
-//     counts (LMK_FLAGSHIP_DET_OUT writes it to its own file).
+//     seeds — exact latency percentiles (p50/p99/p999), the in-flight
+//     query high-water mark, bytes on the wire, sampled recall, store
+//     memory. Byte-identical for any LMK_THREADS; CI compares this
+//     section across thread counts (LMK_FLAGSHIP_DET_OUT writes it to
+//     its own file).
 //   - "wallclock": build/oracle/drain wall times and rates for this
 //     machine (informational; scripts/bench_diff.py gates only the
 //     deterministic section).
@@ -199,7 +199,6 @@ int run() {
   std::vector<double> lat_ms, resp_ms;
   lat_ms.reserve(schedule.size());
   resp_ms.reserve(schedule.size());
-  P2Quantile p99_stream(0.99), p999_stream(0.999);
   Accumulator hops, qbytes, rbytes, qmsgs, subqueries, index_nodes;
   Accumulator scanned;
   std::uint64_t incomplete = 0;
@@ -218,18 +217,11 @@ int run() {
     ChordNode* origin = alive[origin_rng.below(alive.size())];
     sim.schedule_at(at, [&, i, origin] {
       const DenseVector& q = qpts[i];
-      // Per-query memo: several index nodes rank the same candidate.
-      auto cache =
-          std::make_shared<std::unordered_map<std::uint64_t, double>>();
       // `i` must ride by value: the closure outlives this scheduled
       // event (it is invoked per subquery while the query is in
       // flight).
-      IndexPlatform::DistanceFn rank = [&, cache, i](std::uint64_t id) {
-        auto it = cache->find(id);
-        if (it != cache->end()) return it->second;
-        double d = dist_to(qpts[i], id);
-        cache->emplace(id, d);
-        return d;
+      IndexPlatform::DistanceFn rank = [&, i](std::uint64_t id) {
+        return dist_to(qpts[i], id);
       };
       platform.range_query(
           *origin, index.scheme_id(), index.mapper().map_unclamped(q),
@@ -240,8 +232,6 @@ int run() {
             lat_ms.push_back(ms);
             resp_ms.push_back(static_cast<double>(o.response_time) /
                               static_cast<double>(kMillisecond));
-            p99_stream.add(ms);
-            p999_stream.add(ms);
             hops.add(o.hops);
             qbytes.add(static_cast<double>(o.query_bytes));
             rbytes.add(static_cast<double>(o.result_bytes));
@@ -274,24 +264,12 @@ int run() {
     });
   }
 
-  // Queue-depth sampling on a virtual-time cadence while the open-loop
-  // stream runs: per-node unflushed reply buffers (the gauge behind
-  // pending_reply_depth) and platform-wide in-flight queries.
-  Accumulator depth_mean;
-  std::uint64_t depth_max = 0, depth_samples = 0;
+  // In-flight query sampling on a virtual-time cadence while the
+  // open-loop stream runs.
+  std::uint64_t samples = 0;
   std::size_t max_active = 0;
   sim.set_audit(kSecond, [&](SimTime) {
-    std::size_t dmax = 0;
-    std::uint64_t dsum = 0;
-    for (ChordNode* n : alive) {
-      std::size_t d = platform.pending_reply_depth(*n);
-      dmax = std::max(dmax, d);
-      dsum += d;
-    }
-    depth_max = std::max<std::uint64_t>(depth_max, dmax);
-    depth_mean.add(static_cast<double>(dsum) /
-                   static_cast<double>(alive.size()));
-    ++depth_samples;
+    ++samples;
     max_active = std::max(max_active, platform.active_queries());
   });
 
@@ -339,7 +317,6 @@ int run() {
   double rp99 = percentile_nth(resp_ms, 99);
 
   std::uint64_t store_bytes = platform.store_bytes();
-  RecyclePoolStats pool = platform.reply_pool_stats();
   double wire_total = qbytes.sum() + rbytes.sum();
 
   std::printf("build: select %.3fs  topology %.3fs  stream-load %.3fs "
@@ -349,24 +326,16 @@ int run() {
   std::printf("store: %llu bytes\n",
               static_cast<unsigned long long>(store_bytes));
   std::printf("latency ms: p50 %.2f  p90 %.2f  p99 %.2f  p999 %.2f  "
-              "max %.2f  (P2: p99 %.2f, p999 %.2f)\n",
-              p50, p90, p99, p999, lat_max, p99_stream.value(),
-              p999_stream.value());
+              "max %.2f\n", p50, p90, p99, p999, lat_max);
   std::printf("first-reply ms: p50 %.2f  p99 %.2f\n", rp50, rp99);
-  std::printf("queue: max depth %llu, mean depth %.3f over %llu samples, "
-              "max active queries %zu\n",
-              static_cast<unsigned long long>(depth_max), depth_mean.mean(),
-              static_cast<unsigned long long>(depth_samples), max_active);
+  std::printf("queue: max active queries %zu over %llu samples\n",
+              max_active, static_cast<unsigned long long>(samples));
   std::printf("wire: %.0f query + %.0f result = %.0f bytes "
               "(%.1f per query); %.1f msgs, %.1f subqueries, "
               "%.1f index nodes per query\n",
               qbytes.sum(), rbytes.sum(), wire_total,
               wire_total / static_cast<double>(schedule.size()),
               qmsgs.mean(), subqueries.mean(), index_nodes.mean());
-  std::printf("pool: %llu acquires, %llu hits, high water %llu\n",
-              static_cast<unsigned long long>(pool.acquires),
-              static_cast<unsigned long long>(pool.hits),
-              static_cast<unsigned long long>(pool.high_water));
   std::printf("recall@10 (sampled, %zu queries): %.3f  (oracle %.3fs)\n",
               sampled.size(), recall_acc.mean(), t_oracle);
   std::printf("query phase: %.3fs wall, %llu sim events, %llu incomplete\n",
@@ -380,32 +349,24 @@ int run() {
       det, sizeof det,
       "{\n"
       "    \"latency_ms\": {\"p50\": %.6f, \"p90\": %.6f, \"p99\": %.6f, "
-      "\"p999\": %.6f, \"max\": %.6f, \"p99_p2\": %.6f, "
-      "\"p999_p2\": %.6f},\n"
+      "\"p999\": %.6f, \"max\": %.6f},\n"
       "    \"first_reply_ms\": {\"p50\": %.6f, \"p99\": %.6f},\n"
-      "    \"queue\": {\"max_depth\": %llu, \"mean_depth\": %.6f, "
-      "\"samples\": %llu, \"max_active_queries\": %zu},\n"
+      "    \"queue\": {\"samples\": %llu, \"max_active_queries\": %zu},\n"
       "    \"wire\": {\"query_bytes\": %.0f, \"result_bytes\": %.0f, "
       "\"total_bytes\": %.0f, \"bytes_per_query\": %.3f, "
       "\"messages_per_query\": %.3f},\n"
-      "    \"memory\": {\"store_bytes\": %llu, "
-      "\"pool_high_water\": %llu, \"pool_acquires\": %llu, "
-      "\"pool_hits\": %llu},\n"
+      "    \"memory\": {\"store_bytes\": %llu},\n"
       "    \"recall\": {\"sampled\": %zu, \"mean\": %.6f},\n"
       "    \"subqueries_per_query\": %.6f,\n"
       "    \"scanned_per_subquery\": %.6f,\n"
       "    \"incomplete\": %llu,\n"
       "    \"sim_events\": %llu\n"
       "  }",
-      p50, p90, p99, p999, lat_max, p99_stream.value(), p999_stream.value(),
-      rp50, rp99, static_cast<unsigned long long>(depth_max),
-      depth_mean.mean(), static_cast<unsigned long long>(depth_samples),
-      max_active, qbytes.sum(), rbytes.sum(), wire_total,
+      p50, p90, p99, p999, lat_max, rp50, rp99,
+      static_cast<unsigned long long>(samples), max_active, qbytes.sum(),
+      rbytes.sum(), wire_total,
       wire_total / static_cast<double>(schedule.size()), qmsgs.mean(),
-      static_cast<unsigned long long>(store_bytes),
-      static_cast<unsigned long long>(pool.high_water),
-      static_cast<unsigned long long>(pool.acquires),
-      static_cast<unsigned long long>(pool.hits), sampled.size(),
+      static_cast<unsigned long long>(store_bytes), sampled.size(),
       recall_acc.mean(), subqueries.mean(),
       subqueries.sum() > 0 ? scanned.sum() / subqueries.sum() : 0.0,
       static_cast<unsigned long long>(incomplete),

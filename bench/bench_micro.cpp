@@ -47,7 +47,7 @@ void BM_QuerySplit(benchmark::State& state) {
   Region r;
   for (int d = 0; d < 5; ++d) r.ranges.push_back(Interval{400, 600});
   RangeQuery q;
-  (void)make_query(scheme, 1, 0, r, IndexPoint(5, 500.0), &q);
+  make_query(scheme, 1, 0, r, IndexPoint(5, 500.0), &q);
   for (auto _ : state) {
     benchmark::DoNotOptimize(query_split(q, q.prefix.length + 1));
   }
@@ -134,26 +134,8 @@ void BM_L2SquaredScanDenseMatrix(benchmark::State& state) {
 }
 BENCHMARK(BM_L2SquaredScanDenseMatrix)->Arg(10000);
 
-// knn_bruteforce: the legacy type-erased std::function path vs the
-// templated kernel that inlines the distance callable.
-void BM_KnnBruteforceFunction(benchmark::State& state) {
-  Rng rng(22);
-  std::vector<DenseVector> pts(4096, DenseVector(32));
-  for (auto& p : pts) {
-    for (auto& v : p) v = rng.uniform(0, 100);
-  }
-  DenseVector q(32);
-  for (auto& v : q) v = rng.uniform(0, 100);
-  L2Space space;
-  std::function<double(std::size_t)> dist = [&](std::size_t i) {
-    return space.distance(q, pts[i]);
-  };
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(knn_bruteforce(pts.size(), dist, 10));
-  }
-}
-BENCHMARK(BM_KnnBruteforceFunction);
-
+// knn_bruteforce_with: the templated kernel that inlines the distance
+// callable.
 void BM_KnnBruteforceTemplated(benchmark::State& state) {
   Rng rng(22);
   std::vector<DenseVector> pts(4096, DenseVector(32));

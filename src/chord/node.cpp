@@ -34,12 +34,6 @@ NodeRef ChordNode::next_hop(Id key) const {
   return best;
 }
 
-NodeRef ChordNode::closest_preceding(Id key) const {
-  NodeRef hop = next_hop(key);
-  if (hop.node == this) return NodeRef{};
-  return hop;
-}
-
 void ChordNode::set_successors(std::vector<NodeRef> list) {
   if (list.size() > kSuccessors) list.resize(kSuccessors);
   successors_ = std::move(list);

@@ -81,10 +81,6 @@ class ChordNode {
   /// predecessor of `key`.
   [[nodiscard]] NodeRef next_hop(Id key) const;
 
-  /// Classic Chord closest-preceding-finger: like next_hop but never
-  /// returns self; invalid ref when nothing precedes `key`.
-  [[nodiscard]] NodeRef closest_preceding(Id key) const;
-
   // --- Overlay-maintenance API (used by Ring, joins, stabilization) ---
 
   /// Replace the successor list (index 0 is the immediate successor).

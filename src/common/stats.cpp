@@ -55,71 +55,6 @@ double percentile_nth(std::vector<double>& values, double p) {
   return v_lo * (1.0 - frac) + v_hi * frac;
 }
 
-P2Quantile::P2Quantile(double q) : q_(q) {
-  LMK_CHECK(q > 0.0 && q < 1.0);
-  dpos_ = {0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0};
-}
-
-void P2Quantile::add(double x) {
-  if (n_ < 5) {
-    h_[n_++] = x;
-    if (n_ == 5) {
-      std::sort(h_.begin(), h_.end());
-      for (std::size_t i = 0; i < 5; ++i) {
-        pos_[i] = static_cast<double>(i + 1);
-        want_[i] = 1.0 + 4.0 * dpos_[i];
-      }
-    }
-    return;
-  }
-  // Locate the cell containing x, extending the extremes if needed.
-  std::size_t k;
-  if (x < h_[0]) {
-    h_[0] = x;
-    k = 0;
-  } else if (x >= h_[4]) {
-    h_[4] = x;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= h_[k + 1]) ++k;
-  }
-  ++n_;
-  for (std::size_t i = k + 1; i < 5; ++i) pos_[i] += 1.0;
-  for (std::size_t i = 0; i < 5; ++i) want_[i] += dpos_[i];
-  // Adjust the three interior markers toward their desired positions.
-  for (std::size_t i = 1; i <= 3; ++i) {
-    double d = want_[i] - pos_[i];
-    if ((d >= 1.0 && pos_[i + 1] - pos_[i] > 1.0) ||
-        (d <= -1.0 && pos_[i - 1] - pos_[i] < -1.0)) {
-      double s = d >= 0 ? 1.0 : -1.0;
-      // Piecewise-parabolic (P²) height update; fall back to linear
-      // interpolation when the parabola leaves the bracketing heights.
-      double qp =
-          h_[i] + s / (pos_[i + 1] - pos_[i - 1]) *
-                      ((pos_[i] - pos_[i - 1] + s) * (h_[i + 1] - h_[i]) /
-                           (pos_[i + 1] - pos_[i]) +
-                       (pos_[i + 1] - pos_[i] - s) * (h_[i] - h_[i - 1]) /
-                           (pos_[i] - pos_[i - 1]));
-      if (qp <= h_[i - 1] || qp >= h_[i + 1]) {
-        std::size_t j = d >= 0 ? i + 1 : i - 1;
-        qp = h_[i] + s * (h_[j] - h_[i]) / (pos_[j] - pos_[i]);
-      }
-      h_[i] = qp;
-      pos_[i] += s;
-    }
-  }
-}
-
-double P2Quantile::value() const {
-  LMK_CHECK(n_ > 0);
-  if (n_ < 5) {
-    std::vector<double> buf(h_.begin(), h_.begin() + static_cast<long>(n_));
-    return percentile_nth(buf, q_ * 100.0);
-  }
-  return h_[2];
-}
-
 double gini(std::vector<double> values) {
   if (values.empty()) return 0.0;
   std::sort(values.begin(), values.end());

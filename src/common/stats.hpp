@@ -1,7 +1,6 @@
 // Streaming and batch statistics used by the evaluation harness.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -46,34 +45,6 @@ class Accumulator {
 /// `values` with nth_element instead of copying and fully sorting — use
 /// this on large sample vectors the caller no longer needs ordered.
 [[nodiscard]] double percentile_nth(std::vector<double>& values, double p);
-
-/// Bounded-memory streaming quantile estimator (the P² algorithm of
-/// Jain & Chlamtac, 1985): five markers adjusted by parabolic
-/// interpolation, O(1) memory regardless of stream length. Exact for
-/// fewer than five observations. Intended for tail quantiles (p999)
-/// over sample streams too large to buffer.
-class P2Quantile {
- public:
-  /// q is the quantile in (0, 1), e.g. 0.999 for p999.
-  explicit P2Quantile(double q);
-
-  /// Add one observation.
-  void add(double x);
-
-  /// Current estimate (exact while fewer than five observations).
-  [[nodiscard]] double value() const;
-
-  [[nodiscard]] std::size_t count() const { return n_; }
-  [[nodiscard]] double quantile() const { return q_; }
-
- private:
-  double q_;
-  std::size_t n_ = 0;
-  std::array<double, 5> h_{};     ///< marker heights
-  std::array<double, 5> pos_{};   ///< actual marker positions (1-based)
-  std::array<double, 5> want_{};  ///< desired marker positions
-  std::array<double, 5> dpos_{};  ///< desired-position increments
-};
 
 /// Gini coefficient of a non-negative load vector — the load-imbalance
 /// summary used by the load-balancing benches (0 = perfectly even,

@@ -1,6 +1,7 @@
 #include "core/index_platform.hpp"
 
 #include <algorithm>
+#include <utility>
 #ifdef LMK_SCHED_MUTATION
 #include <map>
 #endif
@@ -260,13 +261,8 @@ void IndexPlatform::region_query(ChordNode& origin, std::uint32_t scheme_id,
   const SchemeRouting& sch = scheme(scheme_id);
   std::uint64_t qid = next_qid_++;
   RangeQuery q;
-  if (!make_query(sch, qid, origin.host(), std::move(region),
-                  std::move(focus), &q)) {
-    QueryOutcome empty;
-    empty.complete = true;
-    done(empty);
-    return;
-  }
+  make_query(sch, qid, origin.host(), std::move(region), std::move(focus),
+             &q);
   ActiveQuery aq;
   aq.scheme = scheme_id;
   aq.origin = origin.host();
@@ -306,6 +302,7 @@ void IndexPlatform::on_solve(const RangeQuery& q, ChordNode& node) {
   auto it = active_.find(q.qid);
   LMK_CHECK(it != active_.end());
   ActiveQuery& aq = it->second;
+  NodeReply& reply = aq.nodes[&node];
 
   // Collect the local matches: stored entries whose index point lies in
   // the (closed) query region, scored for the per-node top-k cut —
@@ -317,35 +314,27 @@ void IndexPlatform::on_solve(const RangeQuery& q, ChordNode& node) {
   // probes its order indices or scans stale rows; the reply assembly
   // downstream sorts and dedups by (object, score) anyway, so results
   // stay byte-identical at any thread count.
-  PendingReply& reply = pending_replies_[q.qid][&node];
-  if (!reply.flush_scheduled) {
-    // Fresh (query, node) reply: back its scored buffer with a pooled
-    // vector so steady-state query traffic stops allocating.
-    reply.scored = reply_pool_.acquire();
-  }
-  std::uint64_t evaluated = 0;
   SchemeStore& ss = scheme_store(node, aq.scheme);
   solve_hits_.clear();
   aq.outcome.scanned += ss.local.range(ss.entries, q.region, solve_hits_);
+  // Reserve for a fresh reply only: an exact reserve on every later
+  // subquery of the step would reallocate each time.
+  if (!reply.flush_scheduled) reply.scored.reserve(solve_hits_.size());
   for (const std::uint32_t ei : solve_hits_) {
     std::span<const double> pt = ss.entries.point(ei);
-    ++evaluated;
     std::uint64_t object = ss.entries.object(ei);
     double score = aq.rank ? aq.rank(object) : index_lower_bound(pt, q.focus);
-    // Pooled buffer (reply_pool_): capacity survives release/acquire,
-    // so steady-state query traffic grows nothing.
-    // lmk-lint: allow(hot-alloc) pooled-buffer capacity warmup
     reply.scored.emplace_back(score, object);
   }
 
+  const std::uint64_t evaluated = solve_hits_.size();
   aq.outcome.subqueries += 1;
   aq.outcome.hops = std::max(aq.outcome.hops, q.hops);
   aq.outcome.candidates += evaluated;
-  std::uint64_t& node_cand = aq.node_candidates[&node];
-  node_cand += evaluated;
+  reply.candidates += evaluated;
   aq.outcome.max_node_candidates =
-      std::max(aq.outcome.max_node_candidates, node_cand);
-  aq.outcome.index_nodes = static_cast<int>(aq.node_candidates.size());
+      std::max(aq.outcome.max_node_candidates, reply.candidates);
+  aq.outcome.index_nodes = static_cast<int>(aq.nodes.size());
   aq.outstanding -= 1;
   LMK_CHECK(aq.outstanding >= 0);
 
@@ -355,7 +344,6 @@ void IndexPlatform::on_solve(const RangeQuery& q, ChordNode& node) {
     // solves in the same step lands in the same result message.
     reply.flush_scheduled = true;
     aq.replies_pending += 1;
-    store_of(node).pending_replies += 1;
     std::uint64_t qid = q.qid;
     ChordNode* node_ptr = &node;
     // Tagged with the node's host so the event queue can account for
@@ -370,51 +358,43 @@ void IndexPlatform::flush_reply(std::uint64_t qid, ChordNode& node) {
   auto it = active_.find(qid);
   LMK_CHECK(it != active_.end());
   ActiveQuery& aq = it->second;
-  auto qit = pending_replies_.find(qid);
-  LMK_CHECK(qit != pending_replies_.end());
-  auto nit = qit->second.find(&node);
-  LMK_CHECK(nit != qit->second.end());
-  PendingReply reply = std::move(nit->second);
-  qit->second.erase(nit);
-  if (qit->second.empty()) pending_replies_.erase(qit);
-  NodeStore& ns = store_of(node);
-  LMK_CHECK(ns.pending_replies > 0);
-  ns.pending_replies -= 1;
+  auto rit = aq.nodes.find(&node);
+  LMK_CHECK(rit != aq.nodes.end() && rit->second.flush_scheduled);
+  NodeReply& reply = rit->second;
+  reply.flush_scheduled = false;
+  auto& scored = reply.scored;
 
   // An entry lying exactly on a split plane belongs to both sibling
   // subqueries (closed regions), so it can be scored twice; drop
   // duplicates before the cut or they crowd out distinct candidates.
-  std::sort(reply.scored.begin(), reply.scored.end(),
-            [](const auto& a, const auto& b) {
-              return a.second != b.second ? a.second < b.second
-                                          : a.first < b.first;
-            });
-  reply.scored.erase(std::unique(reply.scored.begin(), reply.scored.end(),
-                                 [](const auto& a, const auto& b) {
-                                   return a.second == b.second;
-                                 }),
-                     reply.scored.end());
+  std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
+    return a.second != b.second ? a.second < b.second : a.first < b.first;
+  });
+  scored.erase(std::unique(scored.begin(), scored.end(),
+                           [](const auto& a, const auto& b) {
+                             return a.second == b.second;
+                           }),
+               scored.end());
   // Per-node top-k cut (paper: "the 10-nearest local results").
-  if (aq.mode == ReplyMode::kTopK && reply.scored.size() > opts_.top_k) {
-    auto cut =
-        reply.scored.begin() + static_cast<std::ptrdiff_t>(opts_.top_k);
-    std::nth_element(reply.scored.begin(), cut, reply.scored.end());
-    reply.scored.resize(opts_.top_k);
+  if (aq.mode == ReplyMode::kTopK && scored.size() > opts_.top_k) {
+    auto cut = scored.begin() + static_cast<std::ptrdiff_t>(opts_.top_k);
+    std::nth_element(scored.begin(), cut, scored.end());
+    scored.resize(opts_.top_k);
+    // The reply stays in flight for a network delay: ship top_k pairs,
+    // not the capacity of every candidate the node scored.
+    scored.shrink_to_fit();
   }
-  std::vector<std::uint64_t> ids;
-  ids.reserve(reply.scored.size());
-  for (const auto& [score, object] : reply.scored) ids.push_back(object);
-  reply_pool_.release(std::move(reply.scored));
 
   const SchemeRouting& sch = scheme(aq.scheme);
   std::uint64_t bytes =
-      sch.result_header_bytes + sch.result_entry_bytes * ids.size();
+      sch.result_header_bytes + sch.result_entry_bytes * scored.size();
   aq.outcome.result_messages += 1;
   aq.outcome.result_bytes += bytes;
 
-  // Ship the reply to the querying host.
+  // Ship the reply to the querying host, leaving the node's buffer
+  // empty for its next step.
   ring_.net().send(node.host(), aq.origin, bytes,
-                   [this, qid, ids = std::move(ids)]() {
+                   [this, qid, shipped = std::exchange(scored, {})]() {
                      auto it2 = active_.find(qid);
                      if (it2 == active_.end()) return;
                      ActiveQuery& a = it2->second;
@@ -424,7 +404,7 @@ void IndexPlatform::flush_reply(std::uint64_t qid, ChordNode& node) {
                        a.outcome.response_time = now - a.t0;
                      }
                      a.outcome.max_latency = now - a.t0;
-                     for (std::uint64_t id : ids) {
+                     for (const auto& [score, id] : shipped) {
                        if (a.seen.insert(id).second) {
                          // Per-query result accumulation, freed with
                          // the query — not engine steady state.
@@ -559,11 +539,6 @@ const EntryStore& IndexPlatform::store(const ChordNode& n,
     return kEmpty;
   }
   return it->second.per_scheme[scheme].entries;
-}
-
-std::size_t IndexPlatform::pending_reply_depth(const ChordNode& n) const {
-  auto it = stores_.find(&n);
-  return it == stores_.end() ? 0 : it->second.pending_replies;
 }
 
 std::uint64_t IndexPlatform::store_bytes() const {

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "balance/migration.hpp"
-#include "common/recycle_pool.hpp"
 #include "core/entry_store.hpp"
 #include "routing/naive.hpp"
 #include "routing/router.hpp"
@@ -186,11 +185,6 @@ class IndexPlatform {
   /// Queries injected but not yet completed.
   [[nodiscard]] std::size_t active_queries() const { return active_.size(); }
 
-  /// Reply messages `n` has accumulated but not yet flushed — the
-  /// per-node queue depth the flagship bench samples while the
-  /// open-loop workload runs.
-  [[nodiscard]] std::size_t pending_reply_depth(const ChordNode& n) const;
-
   // ----- memory accounting -----
 
   /// Resident heap bytes of all entry stores plus their local stores'
@@ -215,12 +209,6 @@ class IndexPlatform {
   /// builds actually performed count, so churn shows up as extra
   /// rebuilds once the probes after it have paid for them.
   [[nodiscard]] LocalStoreBuildStats local_store_stats() const;
-
-  /// Counters of the in-flight reply-buffer pool (one buffer per
-  /// (query, node) reply under construction).
-  [[nodiscard]] const RecyclePoolStats& reply_pool_stats() const {
-    return reply_pool_.stats();
-  }
 
   // ----- load & migration (used by LoadBalancer and benches) -----
 
@@ -293,10 +281,20 @@ class IndexPlatform {
   };
   struct NodeStore {
     std::vector<SchemeStore> per_scheme;
-    /// Reply flushes scheduled but not yet fired on this node — the
-    /// queue-depth gauge behind pending_reply_depth().
-    std::uint32_t pending_replies = 0;
   };
+  /// One index node's part in one query. `candidates` tallies what the
+  /// node evaluated over the whole query. `scored` stages the reply to
+  /// the subqueries it solved in the current processing step; the flush
+  /// (a zero-delay self event) applies the per-node top-k cut and ships
+  /// it as ONE result message — the paper's "each queried index node
+  /// returns the 10-nearest local results".
+  struct NodeReply {
+    std::uint64_t candidates = 0;
+    std::vector<std::pair<double, std::uint64_t>> scored;
+    bool flush_scheduled = false;
+  };
+  /// Everything the platform knows about one in-flight query; erased
+  /// when the query completes.
   struct ActiveQuery {
     std::uint32_t scheme = 0;
     HostId origin = 0;
@@ -308,21 +306,11 @@ class IndexPlatform {
     QueryOutcome outcome;
     QueryCallback done;
     DistanceFn rank;
-    // Per-node tally bumped on solve and read back per node at reply
-    // flush; never iterated.
-    // lmk-lint: allow(pointer-key-unordered)
-    std::unordered_map<const ChordNode*, std::uint64_t> node_candidates;
+    // Found by the solving and the flushing node only; its size is the
+    // only aggregate read, so no code path iterates it.
+    // lmk-lint: allow(pointer-key-unordered) lookup-only per-node records
+    std::unordered_map<const ChordNode*, NodeReply> nodes;
     std::unordered_set<std::uint64_t> seen;
-  };
-
-  /// Reply under construction: candidates a node accumulated for one
-  /// query across the subqueries it solved in one processing step. The
-  /// flush (a zero-delay self event) applies the per-node top-k cut and
-  /// ships ONE result message — the paper's "each queried index node
-  /// returns the 10-nearest local results".
-  struct PendingReply {
-    std::vector<std::pair<double, std::uint64_t>> scored;
-    bool flush_scheduled = false;
   };
 
   [[nodiscard]] std::vector<ChordNode*> replica_nodes(Id key) const;
@@ -358,19 +346,10 @@ class IndexPlatform {
   // lmk-lint: allow(pointer-key-unordered)
   std::unordered_map<const ChordNode*, NodeStore> stores_;
   std::unordered_map<std::uint64_t, ActiveQuery> active_;
-  // The inner map is looked up by the solving node only; reply flushes
-  // are per-(qid, node) events, so no code path iterates it.
-  std::unordered_map<std::uint64_t,
-                     // lmk-lint: allow(pointer-key-unordered) see above
-                     std::unordered_map<const ChordNode*, PendingReply>>
-      pending_replies_;
   std::uint64_t next_qid_ = 1;
   QueryRouter router_;
   NaiveRouter naive_;
   TrafficCounter result_traffic_;
-  /// Recycles the scored-candidate buffers of in-flight replies: one
-  /// acquire per (query, node) reply, released when the reply ships.
-  RecyclePool<std::vector<std::pair<double, std::uint64_t>>> reply_pool_;
 };
 
 }  // namespace lmk

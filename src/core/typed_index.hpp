@@ -18,7 +18,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -117,16 +116,11 @@ class LandmarkIndex {
                    ReplyMode mode, IndexPlatform::QueryCallback done) {
     IndexPlatform::DistanceFn rank;
     if (objects_) {
-      // Shared per-query memo: several index nodes may rank the same
-      // candidate, and comparison sorts evaluate repeatedly.
-      auto cache =
-          std::make_shared<std::unordered_map<std::uint64_t, double>>();
-      rank = [this, q, cache](std::uint64_t id) {
-        auto it = cache->find(id);
-        if (it != cache->end()) return it->second;
-        double d = space_->distance(q, objects_(id));
-        cache->emplace(id, d);
-        return d;
+      // No memo: a node ranks each hit once, before any sort; only an
+      // entry lying exactly on a split plane is ranked twice, and a memo
+      // recorded no repeat calls on fig2, fig5 or the flagship.
+      rank = [this, q](std::uint64_t id) {
+        return space_->distance(q, objects_(id));
       };
     }
     platform_->range_query(origin, scheme_, mapper_.map_unclamped(q), r,

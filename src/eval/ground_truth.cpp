@@ -16,13 +16,6 @@ std::vector<std::size_t> sample_query_indices(std::size_t n_queries,
   return out;
 }
 
-std::vector<std::uint64_t> knn_bruteforce(
-    std::size_t n, const std::function<double(std::size_t)>& distance_to,
-    std::size_t k) {
-  LMK_CHECK(distance_to != nullptr);
-  return knn_bruteforce_with(n, distance_to, k);
-}
-
 std::vector<std::uint64_t> range_bruteforce(
     std::size_t n, const std::function<double(std::size_t)>& distance_to,
     double radius) {

@@ -46,13 +46,6 @@ template <typename DistanceFn>
   return out;
 }
 
-/// Type-erased convenience wrapper (kept for callers that already hold a
-/// std::function; the templated overload avoids the per-point virtual
-/// call on hot paths).
-[[nodiscard]] std::vector<std::uint64_t> knn_bruteforce(
-    std::size_t n, const std::function<double(std::size_t)>& distance_to,
-    std::size_t k);
-
 /// Brute-force k-NN truth for a whole query batch over one dataset,
 /// parallelized per query over the deterministic pool. `space` must be a
 /// MetricSpace over `Point` (read-only; distance calls must be pure).

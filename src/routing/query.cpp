@@ -4,7 +4,7 @@
 
 namespace lmk {
 
-bool make_query(const SchemeRouting& scheme, std::uint64_t qid, HostId origin,
+void make_query(const SchemeRouting& scheme, std::uint64_t qid, HostId origin,
                 Region region, IndexPoint focus, RangeQuery* out) {
   LMK_CHECK(out != nullptr);
   LMK_CHECK(region.dims() == scheme.dims());
@@ -16,7 +16,6 @@ bool make_query(const SchemeRouting& scheme, std::uint64_t qid, HostId origin,
   out->region = std::move(region);
   out->focus = std::move(focus);
   out->hops = 0;
-  return true;
 }
 
 QuerySplitPlan plan_query_split(const RangeQuery& q, int p) {

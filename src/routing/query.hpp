@@ -66,11 +66,9 @@ struct RangeQuery {
 
 /// Build the initial query for a region: clamp to the boundary (regions
 /// outside it snap to the edge, where out-of-boundary entries live) and
-/// compute the enclosing prefix. Always succeeds; the bool return is
-/// kept for callers that treat construction as fallible.
-[[nodiscard]] bool make_query(const SchemeRouting& scheme, std::uint64_t qid,
-                              HostId origin, Region region, IndexPoint focus,
-                              RangeQuery* out);
+/// compute the enclosing prefix.
+void make_query(const SchemeRouting& scheme, std::uint64_t qid, HostId origin,
+                Region region, IndexPoint focus, RangeQuery* out);
 
 /// Split decision for query q at division p, computed without touching
 /// the query's region or focus storage: the child count, the split

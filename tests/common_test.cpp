@@ -2,7 +2,6 @@
 // statistics, table printing.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <set>
 
 #include "common/bits.hpp"
@@ -305,45 +304,6 @@ TEST(Stats, PercentileNthRepeatedCallsOnSameVector) {
   EXPECT_DOUBLE_EQ(p50, percentile(v, 50));
   EXPECT_DOUBLE_EQ(p99, percentile(v, 99));
   EXPECT_DOUBLE_EQ(p01, percentile(v, 1));
-}
-
-TEST(Stats, P2QuantileExactBelowFiveObservations) {
-  P2Quantile q(0.5);
-  q.add(3);
-  q.add(1);
-  EXPECT_DOUBLE_EQ(q.value(), 2.0);
-  q.add(2);
-  q.add(10);
-  EXPECT_DOUBLE_EQ(q.value(), percentile({3, 1, 2, 10}, 50));
-}
-
-TEST(Stats, P2QuantileTracksExactPercentileWithinTolerance) {
-  // Exact-vs-streaming agreement on a heavy-ish tailed stream: the P²
-  // estimate must land within a few percent of the exact sample
-  // quantile (relative to the distribution's scale) while using O(1)
-  // memory.
-  Rng rng(93);
-  for (double quant : {0.5, 0.9, 0.99}) {
-    P2Quantile est(quant);
-    std::vector<double> all;
-    for (int i = 0; i < 20000; ++i) {
-      // Lognormal-shaped: exp of a normal — a long right tail like
-      // latency data.
-      double x = std::exp(rng.normal(0.0, 0.5));
-      est.add(x);
-      all.push_back(x);
-    }
-    double exact = percentile_nth(all, quant * 100.0);
-    EXPECT_EQ(est.count(), 20000u);
-    EXPECT_NEAR(est.value(), exact, 0.05 * exact + 0.01)
-        << "quantile " << quant;
-  }
-}
-
-TEST(Stats, P2QuantileMonotoneStreamConverges) {
-  P2Quantile q(0.9);
-  for (int i = 1; i <= 1000; ++i) q.add(i);
-  EXPECT_NEAR(q.value(), 900.0, 20.0);
 }
 
 // ----- table printing -----

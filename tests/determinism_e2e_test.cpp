@@ -5,11 +5,12 @@
 // networked indexing, tree- and naive-routed range queries in both
 // reply modes interleaved with networked inserts and removes (so local
 // stores are probed stale and rebuilt on a deferred schedule) — twice
-// from the same seed in fresh processes' worth of state, and asserts the
-// per-query hop counts, result sets, timings, scan and byte counts are
-// identical. Any wall-clock read, unseeded draw, or
-// unordered-container iteration order leaking into a result-affecting
-// path shows up here as a diff.
+// from the same seed in fresh processes' worth of state, and asserts
+// every per-query outcome field (hops, result sets, timings, message,
+// scan and byte counts, per-node tallies) is identical and that no
+// query is left in flight after any drain. Any wall-clock read,
+// unseeded draw, or unordered-container iteration order leaking into a
+// result-affecting path shows up here as a diff.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,10 +26,17 @@ struct QueryTrace {
   int hops = 0;
   SimTime response_time = 0;
   SimTime max_latency = 0;
+  std::uint64_t query_messages = 0;
   std::uint64_t query_bytes = 0;
+  std::uint64_t result_messages = 0;
   std::uint64_t result_bytes = 0;
+  int index_nodes = 0;
+  int subqueries = 0;
   std::uint64_t candidates = 0;
+  std::uint64_t max_node_candidates = 0;
   std::uint64_t scanned = 0;
+  int lost_subqueries = 0;
+  bool complete = false;
   std::vector<std::uint64_t> results;  // merged ids, arrival order
 
   bool operator==(const QueryTrace&) const = default;
@@ -98,6 +106,7 @@ RunTrace run_scenario(std::uint64_t seed, RoutingMode routing) {
     ChordNode& gateway = *nodes[join_rng.below(nodes.size() - 1)];
     ring.protocol_join(fresh, gateway, nullptr);
     sim.run();
+    EXPECT_EQ(platform.active_queries(), 0u);
   }
   ring.refresh_all_fingers();
 
@@ -112,6 +121,7 @@ RunTrace run_scenario(std::uint64_t seed, RoutingMode routing) {
         [&trace](int hops) { trace.insert_hops.push_back(hops); });
   }
   sim.run();
+  EXPECT_EQ(platform.active_queries(), 0u);
   // Joins shift key ownership; pull every entry back to its owner (this
   // also exercises the deterministic store sweep in repair_replication)
   // before asserting placement.
@@ -138,13 +148,21 @@ RunTrace run_scenario(std::uint64_t seed, RoutingMode routing) {
           q.hops = o.hops;
           q.response_time = o.response_time;
           q.max_latency = o.max_latency;
+          q.query_messages = o.query_messages;
           q.query_bytes = o.query_bytes;
+          q.result_messages = o.result_messages;
           q.result_bytes = o.result_bytes;
+          q.index_nodes = o.index_nodes;
+          q.subqueries = o.subqueries;
           q.candidates = o.candidates;
+          q.max_node_candidates = o.max_node_candidates;
           q.scanned = o.scanned;
+          q.lost_subqueries = o.lost_subqueries;
+          q.complete = o.complete;
           q.results = o.results;
         });
     sim.run();
+    EXPECT_EQ(platform.active_queries(), 0u);
 
     IndexPoint p;
     for (int d = 0; d < 3; ++d) p.push_back(mutate_rng.uniform());
@@ -160,6 +178,7 @@ RunTrace run_scenario(std::uint64_t seed, RoutingMode routing) {
           trace.mutation_hops.push_back(hops);
         });
     sim.run();
+    EXPECT_EQ(platform.active_queries(), 0u);
   }
 
   trace.rebuilds = platform.local_store_stats().rebuilds;

@@ -12,7 +12,7 @@ namespace {
 TEST(GroundTruth, KnnOrderedAscendingWithTieBreak) {
   // Distances: id0 -> 3, id1 -> 1, id2 -> 1, id3 -> 2.
   std::vector<double> d{3, 1, 1, 2};
-  auto knn = knn_bruteforce(4, [&](std::size_t i) { return d[i]; }, 3);
+  auto knn = knn_bruteforce_with(4, [&](std::size_t i) { return d[i]; }, 3);
   ASSERT_EQ(knn.size(), 3u);
   EXPECT_EQ(knn[0], 1u);  // tie with id2 broken by id
   EXPECT_EQ(knn[1], 2u);
@@ -21,7 +21,7 @@ TEST(GroundTruth, KnnOrderedAscendingWithTieBreak) {
 
 TEST(GroundTruth, KnnWithKLargerThanDataset) {
   std::vector<double> d{2, 1};
-  auto knn = knn_bruteforce(2, [&](std::size_t i) { return d[i]; }, 10);
+  auto knn = knn_bruteforce_with(2, [&](std::size_t i) { return d[i]; }, 10);
   ASSERT_EQ(knn.size(), 2u);
   EXPECT_EQ(knn[0], 1u);
 }

@@ -1,6 +1,5 @@
-// Tests for the flagship memory architecture: the RecyclePool
-// (src/common/recycle_pool.hpp), the struct-of-arrays EntryStore
-// (src/core/entry_store) checked for equivalence against the
+// Tests for the flagship memory architecture: the struct-of-arrays
+// EntryStore (src/core/entry_store) checked for equivalence against the
 // vector<IndexEntry> layout it replaced, and the sampled streaming
 // oracle (knn_truth_streamed) checked against the materialized
 // brute-force batch oracle.
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "common/parallel.hpp"
-#include "common/recycle_pool.hpp"
 #include "common/rng.hpp"
 #include "core/entry_store.hpp"
 #include "eval/ground_truth.hpp"
@@ -20,45 +18,6 @@
 
 namespace lmk {
 namespace {
-
-// ----- RecyclePool -----
-
-TEST(RecyclePool, ReusesCapacityAndCountsHits) {
-  RecyclePool<std::vector<int>> pool;
-  std::vector<int> v = pool.acquire();
-  EXPECT_EQ(pool.stats().acquires, 1u);
-  EXPECT_EQ(pool.stats().hits, 0u);
-  v.reserve(1000);
-  auto cap = v.capacity();
-  pool.release(std::move(v));
-  EXPECT_EQ(pool.stats().pooled, 1u);
-  std::vector<int> w = pool.acquire();
-  EXPECT_EQ(pool.stats().hits, 1u);
-  EXPECT_TRUE(w.empty());            // cleared...
-  EXPECT_GE(w.capacity(), cap);      // ...but capacity retained
-  pool.release(std::move(w));
-}
-
-TEST(RecyclePool, HighWaterTracksSimultaneouslyLive) {
-  RecyclePool<std::vector<int>> pool;
-  auto a = pool.acquire();
-  auto b = pool.acquire();
-  auto c = pool.acquire();
-  EXPECT_EQ(pool.stats().live, 3u);
-  EXPECT_EQ(pool.stats().high_water, 3u);
-  pool.release(std::move(a));
-  pool.release(std::move(b));
-  auto d = pool.acquire();
-  EXPECT_EQ(pool.stats().high_water, 3u);
-  EXPECT_EQ(pool.stats().live, 2u);
-  pool.release(std::move(c));
-  pool.release(std::move(d));
-  EXPECT_EQ(pool.stats().live, 0u);
-  // Three distinct buffers ever existed: d was served from the free
-  // list (b's capacity), so the park count is 3, not 4.
-  EXPECT_EQ(pool.stats().pooled, 3u);
-  EXPECT_EQ(pool.stats().hits, 1u);
-}
 
 // ----- EntryStore vs the vector<IndexEntry> layout it replaced -----
 

@@ -1,7 +1,7 @@
 // Platform-level semantics: dynamic updates (insert/remove, bulk moves)
 // checked against a brute-force oracle, scheme lifecycle (clear,
-// boundary update), reply batching, ranking behaviour and memoization,
-// and the message byte model under batching.
+// boundary update), reply batching, ranking behaviour, the per-node
+// candidate tally, and the message byte model under batching.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -319,10 +319,10 @@ TEST(PlatformReplies, QueryMessageBytesDecomposePerBatchModel) {
 }
 
 TEST(PlatformRanking, RankFunctionMemoizedPerQuery) {
-  // The platform may evaluate the ranking functional many times per
-  // candidate (comparison sorts); the typed facade memoizes per query.
-  // Here we verify the platform honours whatever functional it is given
-  // and that per-node top-k selects by it.
+  // The platform scores each candidate once, before sorting, so a
+  // functional needs no memo. Here we verify the platform honours
+  // whatever functional it is given and that per-node top-k selects by
+  // it.
   Stack s(1, 12);
   IndexPlatform::Options popts;
   popts.top_k = 2;
@@ -410,6 +410,49 @@ TEST(PlatformQueries, ActiveQueriesDrainToZero) {
   s.sim.run();
   EXPECT_EQ(completed, 10);
   EXPECT_EQ(s.platform->active_queries(), 0u);
+}
+
+TEST(PlatformQueries, CandidateTallyMatchesStoredEntriesInRegion) {
+  // kAllMatches at replication 1: each stored entry inside the region is
+  // evaluated once, by the node storing it. Continuous coordinates put
+  // no entry on a split plane, where sibling subqueries would both count
+  // it. Wide regions make some nodes answer in several processing
+  // steps, so a node's tally must outlive each reply flush.
+  Stack s(16, 19);
+  auto scheme =
+      s.platform->register_scheme("tally", uniform_boundary(3, 0, 1), true);
+  Rng rng(20);
+  for (int i = 0; i < 600; ++i) {
+    s.platform->insert(scheme, static_cast<std::uint64_t>(i),
+                       IndexPoint{rng.uniform(), rng.uniform(), rng.uniform()});
+  }
+  auto nodes = s.ring->alive_nodes();
+  for (int qi = 0; qi < 20; ++qi) {
+    IndexPoint center{rng.uniform(), rng.uniform(), rng.uniform()};
+    const double radius = 0.05 + 0.5 * rng.uniform();
+    std::optional<IndexPlatform::QueryOutcome> outcome;
+    s.platform->range_query(*nodes[rng.below(nodes.size())], scheme, center,
+                            radius, ReplyMode::kAllMatches,
+                            [&](const auto& o) { outcome = o; });
+    s.sim.run();
+    ASSERT_TRUE(outcome.has_value());
+    ASSERT_TRUE(outcome->complete);
+    const Region region = query_region(center, radius);
+    std::uint64_t total = 0;
+    std::uint64_t busiest = 0;
+    for (const ChordNode* n : nodes) {
+      std::uint64_t inside = 0;
+      for (EntryView e : s.platform->store(*n, scheme)) {
+        if (linf_box_distance(e.point, region) <= 0.0) ++inside;
+      }
+      total += inside;
+      busiest = std::max(busiest, inside);
+    }
+    EXPECT_GT(total, 0u) << "query " << qi;
+    EXPECT_EQ(outcome->candidates, total) << "query " << qi;
+    EXPECT_EQ(outcome->max_node_candidates, busiest) << "query " << qi;
+    EXPECT_EQ(outcome->results.size(), total) << "query " << qi;
+  }
 }
 
 TEST(PlatformLoad, MedianKeyHandlesRingWrap) {

@@ -471,9 +471,8 @@ TEST(QuerySplit, StraddleSplitsRegionAtPlane) {
   sch.boundary = uniform_boundary(2, 0, 1);
   sch.query_message_bytes = query_message_size(2);
   RangeQuery q;
-  ASSERT_TRUE(make_query(sch, 1, 0,
-                         Region{{Interval{0.4, 0.8}, Interval{0.2, 0.3}}},
-                         IndexPoint{0.5, 0.25}, &q));
+  make_query(sch, 1, 0, Region{{Interval{0.4, 0.8}, Interval{0.2, 0.3}}},
+             IndexPoint{0.5, 0.25}, &q);
   ASSERT_EQ(q.prefix.length, 0);  // straddles first plane
   auto subs = query_split(q, 1);
   ASSERT_EQ(subs.size(), 2u);
@@ -492,8 +491,8 @@ TEST(QuerySplit, OneSidedDescends) {
   sch.boundary = uniform_boundary(1, 0, 1);
   sch.query_message_bytes = query_message_size(1);
   RangeQuery q;
-  ASSERT_TRUE(make_query(sch, 1, 0, Region{{Interval{0.6, 0.7}}},
-                         IndexPoint{0.65}, &q));
+  make_query(sch, 1, 0, Region{{Interval{0.6, 0.7}}}, IndexPoint{0.65},
+             &q);
   // Enclosing prefix: [0.6,0.7] descends "1" then "10", then straddles
   // the 0.625 plane.
   EXPECT_EQ(q.prefix.length, 2);

@@ -58,7 +58,7 @@ struct DenseFixture {
   }
 
   std::vector<std::uint64_t> brute_knn(const DenseVector& q, std::size_t k) {
-    return knn_bruteforce(
+    return knn_bruteforce_with(
         points.size(),
         [&](std::size_t j) { return space.distance(q, points[j]); }, k);
   }
@@ -362,14 +362,14 @@ TEST(Rocchio, ExpansionPullsQueryTowardTopic) {
   int improved = 0;
   for (const auto& q : queries) {
     // True top-5 as (idealized) feedback.
-    auto truth = knn_bruteforce(
+    auto truth = knn_bruteforce_with(
         docs.size(), [&](std::size_t j) { return ang.distance(q, docs[j]); },
         5);
     std::vector<SparseVector> feedback;
     for (auto id : truth) feedback.push_back(docs[id]);
     auto expanded = rocchio_expand(q, feedback);
     // Mean distance to the NEXT 20 true neighbours should shrink.
-    auto wider = knn_bruteforce(
+    auto wider = knn_bruteforce_with(
         docs.size(), [&](std::size_t j) { return ang.distance(q, docs[j]); },
         25);
     double before = 0, after = 0;
