@@ -28,10 +28,11 @@
 #                                       # steady-state allocations in an
 #                                       # event-engine storm)
 #   scripts/check.sh --flagship-smoke   # thread-count determinism + the
-#                                       # flagship gate: the fig2 sweep at
-#                                       # toy scale and the reduced-scale
-#                                       # bench_flagship run (256 nodes /
-#                                       # 20k objects), each at
+#                                       # flagship gate: the fig2 and fig3
+#                                       # sweeps at toy scale (fig3 runs
+#                                       # load migration) and the
+#                                       # reduced-scale bench_flagship run
+#                                       # (256 nodes / 20k objects), each at
 #                                       # LMK_THREADS=1 and =8 with a byte
 #                                       # compare, then bench_diff.py gates
 #                                       # p99 latency, bytes on the wire,
@@ -135,19 +136,24 @@ run_audit() {
 run_flagship_smoke() {
   cmake -B build-check -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DLMK_WERROR=ON >/dev/null
-  cmake --build build-check -j"$(nproc)" \
-    --target bench_flagship bench_fig2_synthetic_nolb >/dev/null
-  # Sweep-engine determinism: one figure sweep must emit byte-identical
+  cmake --build build-check -j"$(nproc)" --target bench_flagship \
+    bench_fig2_synthetic_nolb bench_fig3_synthetic_lb >/dev/null
+  # Sweep-engine determinism: each figure sweep must emit byte-identical
   # tables strictly serial (LMK_THREADS=1) and parallel (LMK_THREADS=8).
-  echo "== check.sh: flagship smoke (fig2 sweep, 1 vs 8 threads) =="
-  LMK_NODES=64 LMK_OBJECTS=2000 LMK_QUERIES=30 LMK_SAMPLE=200 \
-    LMK_THREADS=1 ./build-check/bench/bench_fig2_synthetic_nolb \
-    > build-check/fig2_sweep.t1.out
-  LMK_NODES=64 LMK_OBJECTS=2000 LMK_QUERIES=30 LMK_SAMPLE=200 \
-    LMK_THREADS=8 ./build-check/bench/bench_fig2_synthetic_nolb \
-    > build-check/fig2_sweep.t8.out
-  cmp build-check/fig2_sweep.t1.out build-check/fig2_sweep.t8.out
-  echo "flagship smoke: fig2 sweep byte-identical at 1 and 8 threads"
+  # fig3 runs load migration, so it puts the load prober and the
+  # leave/rejoin path under the same contract.
+  local bench fig t
+  for bench in fig2_synthetic_nolb fig3_synthetic_lb; do
+    fig="${bench%%_*}"
+    echo "== check.sh: flagship smoke (${fig} sweep, 1 vs 8 threads) =="
+    for t in 1 8; do
+      LMK_NODES=64 LMK_OBJECTS=2000 LMK_QUERIES=30 LMK_SAMPLE=200 \
+        LMK_THREADS="$t" "./build-check/bench/bench_${bench}" \
+        > "build-check/${fig}_sweep.t${t}.out"
+    done
+    cmp "build-check/${fig}_sweep.t1.out" "build-check/${fig}_sweep.t8.out"
+    echo "flagship smoke: ${fig} sweep byte-identical at 1 and 8 threads"
+  done
   echo "== check.sh: flagship smoke (reduced open-loop scenario) =="
   # The deterministic section (virtual-time latency, wire bytes, memory
   # marks, recall) must be byte-identical at any thread count; only the

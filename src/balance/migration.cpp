@@ -1,7 +1,6 @@
 #include "balance/migration.hpp"
 
-#include <algorithm>
-#include <unordered_set>
+#include <cstdint>
 
 #include "common/check.hpp"
 
@@ -18,29 +17,29 @@ LoadBalancer::LoadBalancer(Ring& ring, Options opts, Hooks hooks)
 }
 
 std::vector<ChordNode*> LoadBalancer::probe_set(ChordNode& n) const {
-  // Membership test only: the BFS order comes from `frontier`, never
-  // from iterating `seen`.
-  // lmk-lint: allow(pointer-key-unordered)
-  std::unordered_set<ChordNode*> seen{&n};
-  std::vector<ChordNode*> frontier{&n};
+  std::vector<std::uint8_t> seen(ring_.net().hosts(), 0);
+  seen[n.host()] = 1;
   std::vector<ChordNode*> out;
-  for (int level = 0; level < opts_.probe_level && !frontier.empty();
-       ++level) {
-    std::vector<ChordNode*> next;
-    for (ChordNode* cur : frontier) {
-      auto consider = [&](const NodeRef& r) {
-        if (!r.valid() || seen.count(r.node) != 0) return;
-        if (out.size() >= opts_.max_probe_set) return;
-        seen.insert(r.node);
-        out.push_back(r.node);
-        next.push_back(r.node);
-      };
-      for (const NodeRef& s : cur->successor_list()) consider(s);
-      for (const NodeRef& f : cur->finger_table()) consider(f);
-      NodeRef p = cur->predecessor();
-      consider(p);
+  auto visit = [&](const NodeRef& r) {
+    if (out.size() >= kMaxProbeSet || !r.valid()) return;
+    if (seen[r.node->host()] != 0) return;
+    seen[r.node->host()] = 1;
+    out.push_back(r.node);
+  };
+  auto expand = [&](const ChordNode& cur) {
+    for (const NodeRef& r : cur.routing_table()) visit(r);
+    visit(cur.predecessor());
+  };
+  // Level 1 expands n; level l + 1 expands the nodes level l added.
+  expand(n);
+  std::size_t level_begin = 0;
+  for (int level = 1; level < opts_.probe_level; ++level) {
+    const std::size_t level_end = out.size();
+    for (std::size_t i = level_begin;
+         i < level_end && out.size() < kMaxProbeSet; ++i) {
+      expand(*out[i]);
     }
-    frontier = std::move(next);
+    level_begin = level_end;
   }
   return out;
 }

@@ -23,15 +23,16 @@ namespace lmk {
 /// with the index platform; the balancer drives it through hooks.
 class LoadBalancer {
  public:
+  /// Upper bound on probed nodes per round per node (keeps P_l=4
+  /// neighbourhoods from degenerating into global knowledge).
+  static constexpr std::size_t kMaxProbeSet = 256;
+
   struct Options {
     /// Threshold factor δ: heavy when load > neighbourhood avg * (1+δ).
     double delta = 0.0;
     /// Probing level P_l: how many routing-table hops the neighbourhood
     /// sample expands through.
     int probe_level = 4;
-    /// Upper bound on probed nodes per round per node (keeps P_l=4
-    /// neighbourhoods from degenerating into global knowledge).
-    std::size_t max_probe_set = 256;
   };
 
   struct Hooks {
@@ -61,7 +62,11 @@ class LoadBalancer {
   [[nodiscard]] int migrations() const { return migrations_; }
 
   /// The probe set of `n`: routing-table neighbours expanded to
-  /// probe_level hops (n excluded). Exposed for tests/diagnostics.
+  /// probe_level hops (n excluded), at most kMaxProbeSet nodes. A
+  /// breadth-first walk that visits each frontier node's valid
+  /// routing_table() entries in order, then its predecessor, and stops
+  /// once the set is full. Visits are marked by host, so it relies on
+  /// Ring's one-node-per-host rule. Exposed for tests/diagnostics.
   [[nodiscard]] std::vector<ChordNode*> probe_set(ChordNode& n) const;
 
  private:

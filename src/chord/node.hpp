@@ -74,11 +74,23 @@ class ChordNode {
   /// predecessor covered is genuinely unowned.
   [[nodiscard]] bool owns(Id key) const;
 
+  /// The routing table both query routing and the load prober read: the
+  /// distinct non-null successor-list and finger refs, minus refs at this
+  /// node's own id, sorted by clockwise distance from id() with ties
+  /// broken by host (distinct as long as no two nodes share a host, which
+  /// Ring enforces). Entries may be stale; readers test valid(). Derived
+  /// state: rebuilt lazily on the first read after set_finger,
+  /// set_successors, kill or revive. A node is only ever touched by its
+  /// ring's single simulation thread, so the rebuild takes no lock.
+  [[nodiscard]] std::span<const NodeRef> routing_table() const;
+
   /// The paper's next_hop (footnote 4): the routing-table entry — finger
   /// table, successor list, or this node itself — whose identifier is
-  /// immediately before `key` on the ring. Returns self when no table
+  /// immediately before `key` on the ring. Returns self when no valid
   /// entry lies in (me, key), i.e. when this node believes it is the
-  /// predecessor of `key`.
+  /// predecessor of `key`. Binary-searches the key's clockwise distance
+  /// in routing_table() (key == id admits every entry), then walks down
+  /// to the first valid entry.
   [[nodiscard]] NodeRef next_hop(Id key) const;
 
   // --- Overlay-maintenance API (used by Ring, joins, stabilization) ---
@@ -121,6 +133,9 @@ class ChordNode {
   std::vector<NodeRef> successors_;
   std::array<NodeRef, kIdBits> fingers_{};
   int next_finger_refresh_ = 0;
+  // routing_table()'s cache and its staleness flag.
+  mutable std::vector<NodeRef> table_;
+  mutable bool table_stale_ = false;
 };
 
 inline bool NodeRef::valid() const {

@@ -6,7 +6,8 @@
 
 namespace lmk {
 
-Ring::Ring(Network& net, Options opts) : net_(net), opts_(opts) {}
+Ring::Ring(Network& net, Options opts)
+    : net_(net), opts_(opts), host_taken_(net.hosts(), false) {}
 
 ChordNode& Ring::create_node(HostId host) {
   return create_node_with_id(host, node_id_for_host(host, opts_.seed));
@@ -17,6 +18,11 @@ ChordNode& Ring::create_node_with_id(HostId host, Id id) {
                 "host %llu for node %016llx outside topology of %zu hosts",
                 static_cast<unsigned long long>(host),
                 static_cast<unsigned long long>(id), net_.hosts());
+  LMK_CHECK_MSG(!host_taken_[host],
+                "host %llu for node %016llx already runs a node",
+                static_cast<unsigned long long>(host),
+                static_cast<unsigned long long>(id));
+  host_taken_[host] = true;
   nodes_.push_back(std::make_unique<ChordNode>(host, id));
   ChordNode& n = *nodes_.back();
   insert_sorted(n);

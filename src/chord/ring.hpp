@@ -53,6 +53,7 @@ class Ring {
   ChordNode& create_node(HostId host);
 
   /// Create a node with an explicit identifier (tests, load migration).
+  /// A host runs at most one node: the load prober marks visits by host.
   ChordNode& create_node_with_id(HostId host, Id id);
 
   /// Number of nodes ever created (alive or dead).
@@ -154,6 +155,7 @@ class Ring {
   Options opts_;
   std::vector<std::unique_ptr<ChordNode>> nodes_;
   std::vector<ChordNode*> sorted_;  // alive nodes, ascending id
+  std::vector<bool> host_taken_;    // hosts that run a node, alive or dead
   TrafficCounter maintenance_;
 };
 

@@ -18,7 +18,8 @@
 // original normally plus a no-op arrival event at a second, offset
 // time — it perturbs same-instant tie groups and event interleaving
 // the way a duplicate would, without re-applying the payload. True
-// payload re-delivery arrives with the wire protocol (ROADMAP item 4).
+// payload re-delivery arrives with the wire protocol (ROADMAP, "Query
+// liveness under loss").
 #pragma once
 
 #include <cstdint>

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <unordered_set>
+#include <vector>
 
 #include "balance/migration.hpp"
 #include "balance/rotation.hpp"
@@ -107,12 +109,154 @@ TEST(Migration, HigherProbeLevelSeesMore) {
   l1.probe_level = 1;
   LoadBalancer::Options l3;
   l3.probe_level = 3;
-  l3.max_probe_set = 100000;
-  l1.max_probe_set = 100000;
   LoadBalancer lb1(*s.ring, l1, s.platform->balancer_hooks());
   LoadBalancer lb3(*s.ring, l3, s.platform->balancer_hooks());
   ChordNode* n = s.ring->alive_nodes()[0];
   EXPECT_GT(lb3.probe_set(*n).size(), lb1.probe_set(*n).size());
+}
+
+// Reference probe set: a BFS over all 81 slots of each frontier node
+// (successor list, fingers, predecessor) in slot order, deduplicated by
+// a hash set and capped at kMaxProbeSet.
+std::vector<ChordNode*> slot_walk_probe_set(ChordNode& n, int probe_level) {
+  // Membership test only: the BFS order comes from `frontier`.
+  // lmk-lint: allow(pointer-key-unordered)
+  std::unordered_set<ChordNode*> seen{&n};
+  std::vector<ChordNode*> frontier{&n};
+  std::vector<ChordNode*> out;
+  for (int level = 0; level < probe_level && !frontier.empty(); ++level) {
+    std::vector<ChordNode*> next;
+    for (ChordNode* cur : frontier) {
+      auto consider = [&](const NodeRef& r) {
+        if (!r.valid() || seen.count(r.node) != 0) return;
+        if (out.size() >= LoadBalancer::kMaxProbeSet) return;
+        seen.insert(r.node);
+        out.push_back(r.node);
+        next.push_back(r.node);
+      };
+      for (const NodeRef& sr : cur->successor_list()) consider(sr);
+      for (const NodeRef& f : cur->finger_table()) consider(f);
+      consider(cur->predecessor());
+    }
+    frontier = std::move(next);
+  }
+  return out;
+}
+
+/// A PNS ring over a delay-space topology, so finger choices vary.
+struct DelayStack {
+  DelayStack(std::size_t hosts, std::uint64_t seed)
+      : topo(topology(hosts, seed)), net(sim, topo) {
+    Ring::Options ropts;
+    ropts.seed = seed;
+    ring = std::make_unique<Ring>(net, ropts);
+    for (HostId h = 0; h < hosts; ++h) ring->create_node(h);
+    ring->bootstrap();
+    platform = std::make_unique<IndexPlatform>(*ring);
+  }
+  static DelaySpaceModel::Options topology(std::size_t hosts,
+                                           std::uint64_t seed) {
+    DelaySpaceModel::Options o;
+    o.hosts = hosts;
+    o.seed = seed;
+    return o;
+  }
+
+  Simulator sim;
+  DelaySpaceModel topo;
+  Network net;
+  std::unique_ptr<Ring> ring;
+  std::unique_ptr<IndexPlatform> platform;
+};
+
+constexpr int kProbeLevels[] = {1, 2, 4};
+
+TEST(Migration, ProbeSetMatchesSlotWalkInOracleStates) {
+  // Oracle states (bootstrap, leave + rejoin, fail, refresh_all_fingers)
+  // keep every node's valid slots in distance order, so the table walk
+  // must reproduce the slot walk's probe order exactly. The 256 cap
+  // binds from 300 nodes.
+  std::size_t probes = 0, mismatches = 0;
+  for (std::size_t size : {20, 90, 300, 700}) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      DelayStack s(size, seed * 1000 + size);
+      Rng rng(seed * 7919 + size);
+      auto check = [&](int step) {
+        const std::vector<ChordNode*> alive = s.ring->alive_nodes();
+        for (int k = 0; k < 15; ++k) {
+          ChordNode& n = *alive[rng.below(alive.size())];
+          for (int level : kProbeLevels) {
+            LoadBalancer::Options opts;
+            opts.probe_level = level;
+            LoadBalancer lb(*s.ring, opts, s.platform->balancer_hooks());
+            ++probes;
+            if (lb.probe_set(n) == slot_walk_probe_set(n, level)) continue;
+            if (mismatches++ == 0) {
+              ADD_FAILURE() << size << " nodes, seed " << seed << ", step "
+                            << step << ", P_l " << level << ", host "
+                            << n.host();
+            }
+          }
+        }
+      };
+      check(-1);
+      for (int step = 0; step < 16; ++step) {
+        ChordNode& n = s.ring->node(rng.below(s.ring->node_count()));
+        const std::uint64_t op = rng.below(3);
+        if (op == 0 || !n.alive()) {
+          if (n.alive()) s.ring->leave(n);
+          s.ring->rejoin(n, rng.next());
+        } else if (op == 1 && s.ring->alive_count() > size / 2) {
+          s.ring->fail(n);
+        } else {
+          s.ring->refresh_all_fingers();
+        }
+        check(step);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "over " << probes << " probes";
+}
+
+TEST(Migration, ProbeSetMatchesSlotWalkSetAfterStabilization) {
+  // Protocol states (crashes repaired by stabilization) promise no slot
+  // order, so compare sets; below 257 nodes the cap cannot bind, and
+  // the set does not depend on walk order.
+  std::size_t probes = 0, mismatches = 0;
+  for (std::size_t size : {24, 96, 200}) {
+    DelayStack s(size, size);
+    Rng rng(size + 1);
+    auto by_host = [](std::vector<ChordNode*> v) {
+      std::sort(v.begin(), v.end(), [](const ChordNode* a, const ChordNode* b) {
+        return a->host() < b->host();
+      });
+      return v;
+    };
+    for (int round = 0; round < 3; ++round) {
+      for (std::size_t f = 0; f < size / 12 + 1; ++f) {
+        const std::vector<ChordNode*> alive = s.ring->alive_nodes();
+        s.ring->fail(*alive[rng.below(alive.size())]);
+      }
+      s.ring->run_stabilization(6, 200 * kMillisecond);
+      for (ChordNode* n : s.ring->alive_nodes()) {
+        for (int level : kProbeLevels) {
+          LoadBalancer::Options opts;
+          opts.probe_level = level;
+          LoadBalancer lb(*s.ring, opts, s.platform->balancer_hooks());
+          ++probes;
+          if (by_host(lb.probe_set(*n)) ==
+              by_host(slot_walk_probe_set(*n, level))) {
+            continue;
+          }
+          if (mismatches++ == 0) {
+            ADD_FAILURE() << size << " nodes, round " << round << ", P_l "
+                          << level << ", host " << n->host();
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "over " << probes << " probes";
 }
 
 TEST(Migration, MovesLoadOffTheHotNode) {

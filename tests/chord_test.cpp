@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "chord/ring.hpp"
 
@@ -80,6 +83,122 @@ TEST(ChordNode, NextHopIgnoresStaleEntries) {
   me.set_finger(1, NodeRef{&f2, 200});
   f2.kill();
   EXPECT_EQ(me.next_hop(300).node, &f1);
+}
+
+// Reference next_hop: scan all 80 slots, every finger and then every
+// successor, keeping the valid entry in (me, key) closest to the key.
+NodeRef slot_scan_next_hop(const ChordNode& me, Id key) {
+  NodeRef best{const_cast<ChordNode*>(&me), me.id()};
+  bool have = false;
+  auto consider = [&](const NodeRef& r) {
+    if (!r.valid() || !in_open(r.id, me.id(), key)) return;
+    if (!have || in_open(r.id, best.id, key)) {
+      best = r;
+      have = true;
+    }
+  };
+  for (const NodeRef& f : me.finger_table()) consider(f);
+  for (const NodeRef& s : me.successor_list()) consider(s);
+  return best;
+}
+
+TEST(ChordNode, NextHopMatchesSlotScanAcrossTableWrites) {
+  // Hand-built tables of null, dead, stale-id, duplicate and self refs.
+  // After every set_finger, set_successors, kill and revive (of the node
+  // or of a peer), next_hop must return what the slot scan returns on
+  // random keys, on every entry's id and id ± 1, and on the node's id.
+  std::size_t keys = 0, mismatches = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    ChordNode me(0, rng.next());
+    std::vector<std::unique_ptr<ChordNode>> peers;
+    for (HostId h = 1; h <= 24; ++h) {
+      peers.push_back(std::make_unique<ChordNode>(h, rng.next()));
+    }
+    auto peer = [&]() -> ChordNode& { return *peers[rng.below(peers.size())]; };
+    auto random_ref = [&]() -> NodeRef {
+      switch (rng.below(6)) {
+        case 0:
+          return NodeRef{};
+        case 1:
+          return me.self_ref();
+        case 2:  // stale: a peer under this node's id
+          return NodeRef{&peer(), me.id()};
+        case 3:  // stale: a peer under another peer's id (a distance tie)
+          return NodeRef{&peer(), peer().id()};
+        case 4:  // duplicate of an installed finger
+          return me.finger_table()[rng.below(kIdBits)];
+        default:  // current id; dead, or stale after a revive, later on
+          return peer().self_ref();
+      }
+    };
+    auto check = [&](int step) {
+      std::vector<Id> probe{me.id()};
+      for (int i = 0; i < 8; ++i) probe.push_back(rng.next());
+      auto around = [&](const NodeRef& r) {
+        probe.insert(probe.end(), {r.id - 1, r.id, r.id + 1});
+      };
+      for (const NodeRef& r : me.finger_table()) around(r);
+      for (const NodeRef& r : me.successor_list()) around(r);
+      for (Id key : probe) {
+        const NodeRef want = slot_scan_next_hop(me, key);
+        const NodeRef got = me.next_hop(key);
+        if (got.node == want.node && got.id == want.id) continue;
+        if (mismatches++ == 0) {
+          ADD_FAILURE() << "seed " << seed << " step " << step << " key "
+                        << key << ": got id " << got.id << ", want id "
+                        << want.id;
+        }
+      }
+      keys += probe.size();
+    };
+    for (int i = 0; i < kIdBits; ++i) {
+      me.set_finger(i, random_ref());
+      check(-1);
+    }
+    for (int step = 0; step < 400; ++step) {
+      const std::uint64_t op = rng.below(40);
+      if (op < 16) {
+        me.set_finger(static_cast<int>(rng.below(kIdBits)), random_ref());
+      } else if (op < 24) {
+        std::vector<NodeRef> list(rng.below(ChordNode::kSuccessors + 3));
+        for (NodeRef& r : list) r = random_ref();
+        me.set_successors(std::move(list));
+      } else {
+        ChordNode& target = op == 39 ? me : peer();
+        if (target.alive()) {
+          target.kill();
+        } else {
+          target.revive(rng.next());
+        }
+      }
+      check(step);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "over " << keys << " keys";
+  EXPECT_GT(keys, 500000u);
+}
+
+TEST(ChordNode, RoutingTableIsDistinctSortedAndDropsOwnId) {
+  ChordNode me(0, 1000);
+  ChordNode a(1, 1100), b(2, 1300), c(3, 500);
+  me.set_successors({NodeRef{&a, 1100}, NodeRef{&b, 1300}, NodeRef{&a, 1100},
+                     NodeRef{}, me.self_ref()});
+  me.set_finger(0, NodeRef{&a, 1100});
+  me.set_finger(5, NodeRef{&c, 500});          // wraps: farthest entry
+  me.set_finger(9, NodeRef{&c, 1300});         // stale tie with b
+  me.set_finger(11, NodeRef{&b, me.id()});     // stale, at my id
+  std::vector<std::pair<ChordNode*, Id>> got;
+  for (const NodeRef& r : me.routing_table()) got.emplace_back(r.node, r.id);
+  const std::vector<std::pair<ChordNode*, Id>> want{
+      {&a, 1100}, {&b, 1300}, {&c, 1300}, {&c, 500}};
+  EXPECT_EQ(got, want);
+}
+
+TEST(RingDeathTest, SecondNodeOnOneHostAborts) {
+  TestOverlay o(4);
+  o.ring->create_node(2);
+  EXPECT_DEATH(o.ring->create_node_with_id(2, 12345), "already runs a node");
 }
 
 TEST(Ring, BootstrapBuildsCorrectNeighbors) {
