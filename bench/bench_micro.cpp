@@ -1,7 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: the
 // locality-preserving hash, query splitting, metric distance functions,
-// landmark mapping, and Chord routing-table scans.
+// landmark mapping, Chord routing-table scans and the local-store probe.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "chord/ring.hpp"
 #include "eval/ground_truth.hpp"
@@ -11,6 +15,7 @@
 #include "metric/edit_distance.hpp"
 #include "metric/sparse_vector.hpp"
 #include "routing/query.hpp"
+#include "store/local_store.hpp"
 
 namespace lmk {
 namespace {
@@ -252,6 +257,65 @@ void BM_OracleSuccessor(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OracleSuccessor);
+
+// LocalStore::range on fresh indices, 10 dims, in the two store shapes
+// the perfbench workloads probe. Arg 0: 256 stores of 80 rows probed
+// round-robin, so the indices are not cache-resident between probes of
+// one store (balanced-range), with boxes of half-width 0.02 of the
+// boundary (its range factor). Arg 1: one 90,000-row hot store with
+// boxes of half-width 0.05 (topk-recall). Each row adds one latent
+// offset to all its coordinates plus per-dimension noise, so a store's
+// dimensions correlate the way landmark distances do; every box is
+// centred on a stored point. The offset's spread is set so a probe
+// scans about 6 of 80 rows (balanced-range reads 8.8) and finds about
+// 2,900 hits in the hot store (topk-recall about 2,700).
+void BM_LocalStoreRange(benchmark::State& state) {
+  constexpr std::size_t kDims = 10;
+  const bool hot = state.range(0) == 1;
+  const std::size_t stores = hot ? 1 : 256;
+  const std::size_t rows = hot ? 90000 : 80;
+  const double half = hot ? 0.05 : 0.02;
+  const double spread = hot ? 0.15 : 0.1;
+  Rng rng(9);
+  std::vector<EntryStore> entries(stores);
+  std::vector<LocalStore> index(stores);
+  std::vector<Region> boxes;  // boxes[i] probes store i % stores
+  IndexPoint pt(kDims);
+  for (std::size_t s = 0; s < stores; ++s) {
+    IndexPoint centre(kDims);
+    for (double& c : centre) c = rng.uniform(0.2, 0.8);
+    for (std::size_t i = 0; i < rows; ++i) {
+      const double shared = rng.normal(0, spread);
+      for (std::size_t d = 0; d < kDims; ++d) {
+        pt[d] = std::clamp(centre[d] + shared + rng.normal(0, 0.02), 0.0, 1.0);
+      }
+      entries[s].push_back(rng.next(), i, pt);
+    }
+    index[s].build(entries[s]);
+  }
+  for (std::size_t i = 0; i < 4096; ++i) {
+    const EntryStore& e = entries[i % stores];
+    const auto p = e.point(rng.below(e.size()));
+    Region box;
+    for (double c : p) box.ranges.push_back(Interval{c - half, c + half});
+    boxes.push_back(std::move(box));
+  }
+  std::vector<std::uint32_t> hits;
+  std::size_t probe = 0;
+  std::uint64_t scanned = 0;
+  std::uint64_t found = 0;
+  for (auto _ : state) {
+    const std::size_t s = probe % stores;
+    hits.clear();
+    scanned += index[s].range(entries[s], boxes[probe], hits);
+    found += hits.size();
+    probe = (probe + 1) % boxes.size();
+  }
+  const auto probes = static_cast<double>(state.iterations());
+  state.counters["scanned"] = static_cast<double>(scanned) / probes;
+  state.counters["hits"] = static_cast<double>(found) / probes;
+}
+BENCHMARK(BM_LocalStoreRange)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace lmk

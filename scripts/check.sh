@@ -38,7 +38,12 @@
 #                                       # p99 latency, bytes on the wire,
 #                                       # recall and scanned entries per
 #                                       # subquery against the committed
-#                                       # bench/BENCH_flagship.baseline.json
+#                                       # bench/BENCH_flagship.baseline.json;
+#                                       # last, perfbench/check_determinism.py
+#                                       # (the repo benchmark's deterministic
+#                                       # sections at LMK_THREADS=1, nproc and
+#                                       # a repeat; its build tree under
+#                                       # build-check/perfbench)
 #   scripts/check.sh --sched-smoke      # schedule & fault exploration gate:
 #                                       # a small lmk-sched seed swarm must
 #                                       # pass on the clean tree, then a
@@ -170,6 +175,13 @@ run_flagship_smoke() {
   cmp build-check/flagship_det.t1.json build-check/flagship_det.t8.json
   echo "flagship smoke: deterministic section byte-identical at 1 and 8 threads"
   scripts/bench_diff.py --flagship build-check/BENCH_flagship.smoke.json
+  echo "== check.sh: flagship smoke (perfbench deterministic sections) =="
+  # Every perfbench workload's deterministic section (virtual-time
+  # metrics, counts, result digests, checks) must be byte-identical at
+  # LMK_THREADS=1, at the machine's thread count and on a repeat.
+  # run.py builds its own tree under CARGO_TARGET_DIR.
+  CARGO_TARGET_DIR="$PWD/build-check/perfbench" \
+    python3 perfbench/check_determinism.py
 }
 
 run_alloc_guard() {

@@ -311,7 +311,7 @@ void IndexPlatform::on_solve(const RangeQuery& q, ChordNode& node) {
   //
   // The probe itself is delegated to the node's LocalStore (see
   // src/store/), which surfaces hits in ascending entry index whether it
-  // probes its order indices or scans stale rows; the reply assembly
+  // probes its order index or scans stale rows; the reply assembly
   // downstream sorts and dedups by (object, score) anyway, so results
   // stay byte-identical at any thread count.
   SchemeStore& ss = scheme_store(node, aq.scheme);

@@ -188,7 +188,8 @@ class IndexPlatform {
   // ----- memory accounting -----
 
   /// Resident heap bytes of all entry stores plus their local stores'
-  /// order indices (the payload the flagship bench reports).
+  /// order index and probe buffers (the payload the flagship bench
+  /// reports).
   [[nodiscard]] std::uint64_t store_bytes() const;
 
   // ----- local stores -----

@@ -1,8 +1,14 @@
 // Per-node local store. Each (node, scheme) pair owns an EntryStore (the
-// SoA rows) plus a LocalStore: per-dimension sorted order indices over
-// those rows that answer the solver's box probes (paper Alg. 5) without
+// SoA rows) plus a LocalStore: one flat, dimension-major order index over
+// those rows that answers the solver's box probes (paper Alg. 5) without
 // a full scan. Exact: a probe returns every entry inside the closed
 // region and nothing else.
+//
+// Probe. All 2 * dims lower and upper bounds advance together, one
+// branchless halving step at a time, so their loads overlap; the probe
+// then walks the dimension with the fewest in-range entries (the first
+// such dimension on a tie), prefetching rows ahead, and marks hits in a
+// bitmap that it reads back in entry order.
 //
 // Rebuild rule. The first build is eager: a store that was never built
 // builds on its first probe. A mutation (`invalidate`) leaves the indices
@@ -31,7 +37,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "core/entry_store.hpp"
@@ -51,7 +56,7 @@ struct LocalStoreBuildStats {
   std::uint64_t rebuilt_entries = 0;
 };
 
-/// Sorted order indices over one EntryStore, with the deferred rebuild
+/// A flat order index over one EntryStore, with the deferred rebuild
 /// rule above. Probes report `scanned` — the number of stored entries
 /// whose coordinates were examined.
 class LocalStore {
@@ -78,15 +83,21 @@ class LocalStore {
   /// Builds this store performed (eager and deferred).
   [[nodiscard]] const LocalStoreBuildStats& stats() const { return stats_; }
 
-  /// Resident heap bytes of the order indices (excluding the EntryStore).
+  /// Resident heap bytes of the order index and its probe buffers
+  /// (excluding the EntryStore).
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
-  // order_[d] holds (coordinate d, entry index) sorted ascending; the
-  // pair order breaks value ties by entry index, so the scan order — and
-  // therefore the whole simulation — is independent of the sort
-  // algorithm's handling of equal values.
-  std::vector<std::vector<std::pair<double, std::uint32_t>>> order_;
+  // The order index over the rows of the last build, n = indexed_rows_:
+  // vals_[d * n + k] is the k-th smallest coordinate d and
+  // ids_[d * n + k] its entry index. Ties go by entry index, so the
+  // slice order is independent of the sort algorithm.
+  std::vector<double> vals_;
+  std::vector<std::uint32_t> ids_;
+  // Probe buffers sized at build: a lower and an upper cursor per
+  // dimension, and one hit bit per row, all zero between probes.
+  std::vector<std::uint32_t> bounds_;
+  std::vector<std::uint64_t> hits_;
   LocalStoreBuildStats stats_;
   std::size_t indexed_rows_ = 0;  ///< entries.size() at the last build
   std::uint64_t charge_ = 0;  ///< entries scanned since the last invalidate

@@ -1,11 +1,14 @@
 // Tests for entry replication: placement on successor chains, crash
-// tolerance, deduplicated query results, removal of all copies, and the
-// repair procedure after membership changes.
+// tolerance, deduplicated query results, removal of all copies, the
+// repair procedure after membership changes, and probes of a store that
+// repair emptied.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <set>
+#include <vector>
 
 #include "core/index_platform.hpp"
 
@@ -198,6 +201,76 @@ TEST(Replication, RepairNormalizesAfterMigrationDrift) {
   EXPECT_EQ(s.platform->scheme_entries(scheme), 800u);
   auto got = s.query_all(scheme, Region{{Interval{0, 1}}});
   EXPECT_EQ(got.size(), 400u);
+}
+
+TEST(Replication, RepairThatEmptiesAProbedStoreKeepsQueriesExact) {
+  // With 2 copies, a node whose own arc holds no keys stores only the
+  // copies of its predecessor's entries. Probe it, so its local store is
+  // built over those copies; then put a node between the two and
+  // repair. The copies move to the new node and nothing refills the
+  // probed store, so only repair's invalidate() keeps its next probe off
+  // the index of rows that are gone.
+  Stack s(24, 14, /*replication=*/2);
+  auto scheme = s.platform->register_scheme(
+      "emptied", uniform_boundary(1, 0, 1), false);
+  Rng rng(15);
+  std::vector<double> xs;  // object i sits at xs[i]
+  for (std::uint64_t i = 0; i < 60; ++i) {
+    xs.push_back(rng.uniform(0.40, 0.42));
+    s.platform->insert(scheme, i, IndexPoint{xs.back()});
+  }
+  auto oracle = [&](const Region& r) {
+    std::set<std::uint64_t> in;
+    for (std::uint64_t i = 0; i < xs.size(); ++i) {
+      if (xs[i] >= r.ranges[0].lo && xs[i] <= r.ranges[0].hi) in.insert(i);
+    }
+    return in;
+  };
+  // One dimension: a key is the binary expansion of the coordinate.
+  auto coord = [](const ChordNode& n) {
+    return static_cast<double>(n.id()) * 0x1p-64;
+  };
+  auto nodes = s.ring->alive_nodes();
+  std::sort(nodes.begin(), nodes.end(),
+            [](auto* a, auto* b) { return a->id() < b->id(); });
+  ChordNode* copies_only = nullptr;
+  for (ChordNode* n : nodes) {
+    const EntryStore& es = s.platform->store(*n, scheme);
+    bool owns = false;
+    for (std::size_t i = 0; i < es.size(); ++i) {
+      owns = owns || s.ring->oracle_successor(es.key(i)) == n;
+    }
+    if (!es.empty() && !owns) {
+      copies_only = n;
+      break;
+    }
+  }
+  ASSERT_NE(copies_only, nullptr);
+  ChordNode* owner = s.ring->oracle_predecessor(copies_only->id());
+  ASSERT_LT(owner->id(), copies_only->id());
+  const Region before{{Interval{0.40, coord(*copies_only)}}};
+  ASSERT_EQ(oracle(before).size(), xs.size());
+  EXPECT_EQ(s.query_all(scheme, before), oracle(before));
+
+  // A node that stores nothing leaves and rejoins between the two.
+  ChordNode* mover = nullptr;
+  for (ChordNode* n : nodes) {
+    if (s.platform->store(*n, scheme).empty()) mover = n;
+  }
+  ASSERT_NE(mover, nullptr);
+  s.ring->leave(*mover);
+  s.ring->rejoin(*mover, owner->id() + (copies_only->id() - owner->id()) / 2);
+  for (ChordNode* n : s.ring->alive_nodes()) s.ring->fix_neighbors(*n);
+  s.ring->refresh_all_fingers();
+  s.platform->repair_replication();
+  s.platform->check_placement_invariant();
+  ASSERT_TRUE(s.platform->store(*copies_only, scheme).empty());
+  EXPECT_EQ(s.platform->store(*mover, scheme).size(), xs.size());
+
+  const Region after{{Interval{coord(*mover), coord(*copies_only)}}};
+  EXPECT_EQ(s.query_all(scheme, after), oracle(after));
+  const Region all{{Interval{0, 1}}};
+  EXPECT_EQ(s.query_all(scheme, all), oracle(all));
 }
 
 }  // namespace

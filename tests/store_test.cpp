@@ -2,12 +2,13 @@
 // probed in (fresh build, stale scanning, amortized rebuild), exactness
 // over random mutation traces with probes between mutations, the probe
 // on which the deferred rebuild fires, the abort when a write skipped
-// invalidate(), ascending hit order, and the platform's build
-// accounting.
+// invalidate(), ascending hit order, agreement with the nested order
+// index the flat one replaced, and the platform's build accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -337,6 +338,163 @@ TEST(LocalStoreProperty, PrunesAgainstFullScan) {
       store, Region{{Interval{0.1, 0.13}, Interval{0.1, 0.13}}}, out);
   EXPECT_LT(scanned, store.size() / 2);
   EXPECT_FALSE(out.empty());
+}
+
+// ---------------------------------------------------------------------
+// The flat index against the nested one it replaced.
+
+// The previous order index, kept as the reference: one vector of
+// (value, entry index) pairs per dimension, bounded with
+// std::lower_bound and std::upper_bound one dimension at a time; the
+// first smallest slice is walked and its hits sorted.
+class NestedOrderIndex {
+ public:
+  explicit NestedOrderIndex(const EntryStore& rows) : order_(rows.dims()) {
+    for (std::size_t d = 0; d < rows.dims(); ++d) {
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        order_[d].emplace_back(rows.point(i)[d],
+                               static_cast<std::uint32_t>(i));
+      }
+      std::sort(order_[d].begin(), order_[d].end());
+    }
+  }
+
+  std::size_t range(const EntryStore& rows, const Region& region,
+                    std::vector<std::uint32_t>& out) const {
+    if (order_.empty()) return 0;
+    std::size_t best_d = 0, best_lo = 0, best_hi = 0;
+    std::size_t best_count = rows.size() + 1;
+    for (std::size_t d = 0; d < order_.size(); ++d) {
+      const auto& ord = order_[d];
+      const Interval& r = region.ranges[d];
+      auto lo = std::lower_bound(
+          ord.begin(), ord.end(), r.lo,
+          [](const Pair& p, double v) { return p.first < v; });
+      auto hi = std::upper_bound(
+          lo, ord.end(), r.hi,
+          [](double v, const Pair& p) { return v < p.first; });
+      const auto count = static_cast<std::size_t>(hi - lo);
+      if (count < best_count) {
+        best_count = count;
+        best_d = d;
+        best_lo = static_cast<std::size_t>(lo - ord.begin());
+        best_hi = static_cast<std::size_t>(hi - ord.begin());
+      }
+    }
+    const std::size_t first = out.size();
+    for (std::size_t k = best_lo; k < best_hi; ++k) {
+      const std::uint32_t ei = order_[best_d][k].second;
+      const auto pt = rows.point(ei);
+      bool inside = true;
+      for (std::size_t d = 0; d < pt.size(); ++d) {
+        const Interval& r = region.ranges[d];
+        if (d != best_d && (pt[d] < r.lo || pt[d] > r.hi)) inside = false;
+      }
+      if (inside) out.push_back(ei);
+    }
+    std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
+    return best_count;
+  }
+
+ private:
+  using Pair = std::pair<double, std::uint32_t>;
+  std::vector<std::vector<Pair>> order_;
+};
+
+// Rows whose coordinates come from at most 8 values per dimension, so
+// ties are common.
+EntryStore tied_store(Rng& rng, std::size_t n, std::size_t dims) {
+  std::vector<std::vector<double>> values(dims);
+  for (auto& v : values) {
+    v.resize(1 + rng.below(8));
+    for (double& x : v) x = rng.uniform();
+  }
+  EntryStore s;
+  IndexPoint pt(dims);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t d = 0; d < dims; ++d) {
+      pt[d] = values[d][rng.below(values[d].size())];
+    }
+    s.push_back(static_cast<Id>(rng.next()), i, pt);
+  }
+  return s;
+}
+
+// A box over `rows`. Bounds are mostly stored values (ties with the
+// index); about three dimensions are narrowed so hits stay likely at 33
+// dims. Some boxes invert one interval (lo > hi), and some put one
+// interval outside the rows' extent.
+Region tied_region(Rng& rng, const EntryStore& rows, std::size_t dims) {
+  auto bound = [&](std::size_t d) {
+    if (rows.empty() || rng.below(4) == 0) return rng.uniform();
+    return rows.point(rng.below(rows.size()))[d];
+  };
+  Region r = unit_region(dims);
+  const double narrow = std::min(1.0, 3.0 / static_cast<double>(dims));
+  for (std::size_t d = 0; d < dims; ++d) {
+    if (rng.uniform() >= narrow) continue;
+    double lo = bound(d), hi = bound(d);
+    if (lo > hi) std::swap(lo, hi);
+    r.ranges[d] = Interval{lo, hi};
+  }
+  const std::size_t d = rng.below(dims);
+  switch (rng.below(6)) {
+    case 0: {  // inverted
+      const double v = bound(d);
+      r.ranges[d] = rng.below(2) == 0 ? Interval{v, v - 0.25}
+                                      : Interval{v + 1e-9, v};
+      break;
+    }
+    case 1:  // outside the extent, above or below
+      r.ranges[d] = rng.below(2) == 0 ? Interval{1.5, 2} : Interval{-1, -0.5};
+      break;
+    default:
+      break;
+  }
+  return r;
+}
+
+TEST(LocalStoreProperty, FlatIndexMatchesNestedReference) {
+  // Fresh stores of 0-3 rows, 2^k - 1, 2^k and 2^k + 1 rows for k <= 10,
+  // and 20,000 rows, at 1, 2, 10 and 33 dims. Each store is probed with
+  // a run of different boxes, so every probe follows another on the
+  // same store and a bitmap left dirty would add phantom hits.
+  std::vector<std::size_t> sizes{0, 1, 2, 3};
+  for (std::size_t k = 1; k <= 10; ++k) {
+    const std::size_t p = std::size_t{1} << k;
+    for (std::size_t n : {p - 1, p, p + 1}) {
+      if (n > sizes.back()) sizes.push_back(n);
+    }
+  }
+  sizes.push_back(20000);
+  Rng rng(23);
+  std::size_t probes = 0, hits = 0, mismatches = 0;
+  for (std::size_t dims : {1, 2, 10, 33}) {
+    for (std::size_t n : sizes) {
+      const EntryStore rows = tied_store(rng, n, dims);
+      const NestedOrderIndex want_index(rows);
+      LocalStore ls;
+      ls.build(rows);
+      for (int t = 0; t < 24; ++t) {
+        const Region r = t == 0 ? unit_region(dims)
+                                : tied_region(rng, rows, dims);
+        std::vector<std::uint32_t> got{99}, want{99};
+        const std::size_t got_scanned = ls.range(rows, r, got);
+        const std::size_t want_scanned = want_index.range(rows, r, want);
+        ++probes;
+        hits += want.size() - 1;
+        if (got == want && got_scanned == want_scanned) continue;
+        if (mismatches++ == 0) {
+          ADD_FAILURE() << n << " rows, " << dims << " dims, probe " << t
+                        << ": " << got.size() - 1 << " hits and scanned "
+                        << got_scanned << ", want " << want.size() - 1
+                        << " and " << want_scanned;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "over " << probes << " probes";
+  EXPECT_GT(hits, probes);  // the boxes do hit, not only miss
 }
 
 // ---------------------------------------------------------------------
