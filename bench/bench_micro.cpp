@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -31,6 +32,25 @@ void BM_LphHash(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LphHash)->Arg(2)->Arg(5)->Arg(10)->Arg(20);
+
+// The same hash over 4,096 random points in turn: the half taken at each
+// division changes from call to call, as it does when a store loads.
+// BM_LphHash's one fixed point lets every branch predict perfectly.
+void BM_LphHashVaryingPoint(benchmark::State& state) {
+  auto dims = static_cast<std::size_t>(state.range(0));
+  Boundary b = uniform_boundary(dims, 0, 1000);
+  Rng rng(1);
+  constexpr std::size_t kPoints = 4096;
+  std::vector<double> rows(kPoints * dims);
+  for (auto& v : rows) v = rng.uniform(0, 1000);
+  const std::span<const double> all(rows);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lph_hash(all.subspan(i * dims, dims), b));
+    i = (i + 1) % kPoints;
+  }
+}
+BENCHMARK(BM_LphHashVaryingPoint)->Arg(2)->Arg(5)->Arg(10)->Arg(20);
 
 void BM_EnclosingPrefix(benchmark::State& state) {
   auto dims = static_cast<std::size_t>(state.range(0));

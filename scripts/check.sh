@@ -4,6 +4,10 @@
 #
 # Usage:
 #   scripts/check.sh                    # one build + ctest (RelWithDebInfo)
+#   LMK_SANITIZE=address,undefined scripts/check.sh
+#                                       # ASan+UBSan (CI's sanitizer leg;
+#                                       # any list naming `undefined` makes
+#                                       # UBSan findings fail their test)
 #   LMK_SANITIZE=address scripts/check.sh
 #   LMK_SANITIZE=undefined scripts/check.sh
 #   LMK_SANITIZE=thread scripts/check.sh
@@ -54,7 +58,7 @@
 #                                       # same auditor failure
 #
 # Every build is -Werror for src/ and tools/ (LMK_WERROR=ON). Each
-# sanitizer gets its own build directory (build-check-<san>) so
+# sanitizer list gets its own build directory (build-check-<list>) so
 # instrumented and plain builds never mix objects.
 set -euo pipefail
 

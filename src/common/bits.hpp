@@ -73,7 +73,9 @@ struct KeySpan {
 [[nodiscard]] constexpr KeySpan prefix_span(Id prefix_key, int len) {
   LMK_DCHECK(len >= 0 && len <= kIdBits);
   Id lo = prefix(prefix_key, len);
-  Id hi = len == 0 ? ~Id{0} : (lo | (~Id{0} >> len));
+  // A shift by the full width is undefined, so a leaf (len == 64) spans
+  // its own key alone.
+  Id hi = len == kIdBits ? lo : (lo | (~Id{0} >> len));
   return {lo, hi};
 }
 

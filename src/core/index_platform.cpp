@@ -17,12 +17,16 @@ IndexPlatform::IndexPlatform(Ring& ring, Options opts)
       opts_(opts),
       router_(
           ring,
-          [this](const RangeQuery& q, ChordNode& n) { on_solve(q, n); },
+          [this](std::span<const RangeQuery> pieces, ChordNode& n) {
+            on_solve(pieces, n);
+          },
           [this](std::uint64_t qid, int d) { on_fanout(qid, d); },
           [this](std::uint64_t qid, std::uint64_t b) { on_sent(qid, b); }),
       naive_(
           ring,
-          [this](const RangeQuery& q, ChordNode& n) { on_solve(q, n); },
+          [this](const RangeQuery& q, ChordNode& n) {
+            on_solve(std::span(&q, 1), n);
+          },
           [this](std::uint64_t qid, int d) { on_fanout(qid, d); },
           opts.naive_split_depth,
           [this](std::uint64_t qid, std::uint64_t b) { on_sent(qid, b); }) {}
@@ -295,56 +299,88 @@ void IndexPlatform::on_sent(std::uint64_t qid, std::uint64_t bytes) {
   it->second.outcome.query_bytes += bytes;
 }
 
-// lmk-hot-path: on_solve + flush_reply run once per subquery per index
-// node — the per-event cost of the whole query storm. lmk-lint's
-// hot-alloc rule checks this region statically for owning allocations.
-void IndexPlatform::on_solve(const RangeQuery& q, ChordNode& node) {
-  auto it = active_.find(q.qid);
+// lmk-hot-path: on_solve runs once per routing episode that solves
+// anything, flush_reply once per (query, node, step) — the per-event
+// cost of the whole query storm. lmk-lint's hot-alloc rule checks this
+// region statically for owning allocations.
+void IndexPlatform::on_solve(std::span<const RangeQuery> pieces,
+                             ChordNode& node) {
+  LMK_CHECK(!pieces.empty());
+  const RangeQuery& first = pieces.front();
+  auto it = active_.find(first.qid);
   LMK_CHECK(it != active_.end());
   ActiveQuery& aq = it->second;
   NodeReply& reply = aq.nodes[&node];
 
   // Collect the local matches: stored entries whose index point lies in
-  // the (closed) query region, scored for the per-node top-k cut —
-  // by true metric distance when the query carries a ranking function
-  // (distributed refinement), else by the contractive L-inf lower bound.
+  // the (closed) region of some piece, scored for the per-node top-k
+  // cut — by true metric distance when the query carries a ranking
+  // function (distributed refinement), else by the contractive L-inf
+  // lower bound. Every piece carries the query's focus.
   //
-  // The probe itself is delegated to the node's LocalStore (see
-  // src/store/), which surfaces hits in ascending entry index whether it
-  // probes its order index or scans stale rows; the reply assembly
+  // One probe answers all the pieces: the node's LocalStore (see
+  // src/store/) surfaces the rows inside the pieces' bounding box, in
+  // ascending entry index whether it probes its order index or scans
+  // stale rows, and the rows inside no piece are dropped. A row on the
+  // plane between two pieces is kept once. The reply assembly
   // downstream sorts and dedups by (object, score) anyway, so results
   // stay byte-identical at any thread count.
+  const Region* box = &first.region;
+  int hops = first.hops;
+  if (pieces.size() > 1) {
+    solve_box_.ranges = first.region.ranges;  // reuses the capacity
+    for (const RangeQuery& q : pieces.subspan(1)) {
+      LMK_CHECK(q.qid == first.qid);
+      hops = std::max(hops, q.hops);
+      for (std::size_t d = 0; d < solve_box_.ranges.size(); ++d) {
+        Interval& r = solve_box_.ranges[d];
+        r.lo = std::min(r.lo, q.region.ranges[d].lo);
+        r.hi = std::max(r.hi, q.region.ranges[d].hi);
+      }
+    }
+    box = &solve_box_;
+  }
   SchemeStore& ss = scheme_store(node, aq.scheme);
   solve_hits_.clear();
-  aq.outcome.scanned += ss.local.range(ss.entries, q.region, solve_hits_);
+  aq.outcome.scanned += ss.local.range(ss.entries, *box, solve_hits_);
   // Reserve for a fresh reply only: an exact reserve on every later
-  // subquery of the step would reallocate each time.
+  // solve of the step would reallocate each time.
   if (!reply.flush_scheduled) reply.scored.reserve(solve_hits_.size());
+  std::uint64_t evaluated = 0;
   for (const std::uint32_t ei : solve_hits_) {
     std::span<const double> pt = ss.entries.point(ei);
+    if (pieces.size() > 1 &&
+        std::none_of(pieces.begin(), pieces.end(),
+                     [pt](const RangeQuery& q) {
+                       return linf_box_distance(pt, q.region) <= 0.0;
+                     })) {
+      continue;  // in the box, between the pieces
+    }
     std::uint64_t object = ss.entries.object(ei);
-    double score = aq.rank ? aq.rank(object) : index_lower_bound(pt, q.focus);
+    double score =
+        aq.rank ? aq.rank(object) : index_lower_bound(pt, first.focus);
     reply.scored.emplace_back(score, object);
+    ++evaluated;
   }
 
-  const std::uint64_t evaluated = solve_hits_.size();
-  aq.outcome.subqueries += 1;
-  aq.outcome.hops = std::max(aq.outcome.hops, q.hops);
+  const int n = static_cast<int>(pieces.size());
+  aq.outcome.subqueries += n;
+  aq.outcome.hops = std::max(aq.outcome.hops, hops);
   aq.outcome.candidates += evaluated;
   reply.candidates += evaluated;
   aq.outcome.max_node_candidates =
       std::max(aq.outcome.max_node_candidates, reply.candidates);
   aq.outcome.index_nodes = static_cast<int>(aq.nodes.size());
-  aq.outstanding -= 1;
+  aq.outstanding -= n;
   LMK_CHECK(aq.outstanding >= 0);
 
   if (!reply.flush_scheduled) {
     // One reply per (query, node) per processing step: keep it pending
-    // until a zero-delay self event fires, so every subquery this node
+    // until a zero-delay self event fires, so every piece this node
     // solves in the same step lands in the same result message.
     reply.flush_scheduled = true;
     aq.replies_pending += 1;
-    std::uint64_t qid = q.qid;
+    std::uint64_t qid = first.qid;
     ChordNode* node_ptr = &node;
     // Tagged with the node's host so the event queue can account for
     // same-(timestamp, node) tie groups (audit race detector).
@@ -365,8 +401,10 @@ void IndexPlatform::flush_reply(std::uint64_t qid, ChordNode& node) {
   auto& scored = reply.scored;
 
   // An entry lying exactly on a split plane belongs to both sibling
-  // subqueries (closed regions), so it can be scored twice; drop
-  // duplicates before the cut or they crowd out distinct candidates.
+  // pieces (closed regions). One episode's probe keeps it once, but two
+  // episodes at this node in one step (two messages of the query
+  // arriving at the same instant) each score it; drop duplicates
+  // before the cut or they crowd out distinct candidates.
   std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
     return a.second != b.second ? a.second < b.second : a.first < b.first;
   });

@@ -73,18 +73,24 @@ class IndexPlatform {
     std::uint64_t result_messages = 0;
     std::uint64_t result_bytes = 0;    ///< results-delivery bandwidth
     int index_nodes = 0;         ///< distinct nodes that answered
-    int subqueries = 0;          ///< local solves performed
+    /// Pieces solved locally: the sub-cuboids surrogate refinement (or
+    /// the naive walk) covered. The pieces one node solves in one
+    /// routing episode share one store probe, so this counts pieces,
+    /// not probes.
+    int subqueries = 0;
     /// Candidates evaluated during distributed refinement: total across
     /// all index nodes, and the busiest single node's share (the
     /// "query processing overhead" the paper charges against greedy
     /// landmark hotspots in §4.3).
     std::uint64_t candidates = 0;
     std::uint64_t max_node_candidates = 0;
-    /// Stored entries *examined* across all local solves (the per-node
-    /// scan cost). A fresh local store examines only the entries inside
-    /// its most selective dimension's range, not the node's whole store
-    /// — the online-path pruning the perf bench regresses against; a
-    /// stale one scans every row (src/store/local_store.hpp).
+    /// Stored entries *examined* across all store probes (the per-node
+    /// scan cost). A node probes once per routing episode, over the
+    /// bounding box of the pieces it solves in that episode. A fresh
+    /// local store examines only the entries inside the box's most
+    /// selective dimension's range, not the node's whole store — the
+    /// online-path pruning the perf bench regresses against; a stale
+    /// one scans every row (src/store/local_store.hpp).
     std::uint64_t scanned = 0;
     int lost_subqueries = 0;     ///< dropped by churn (0 in steady state)
     bool complete = false;
@@ -285,7 +291,7 @@ class IndexPlatform {
   };
   /// One index node's part in one query. `candidates` tallies what the
   /// node evaluated over the whole query. `scored` stages the reply to
-  /// the subqueries it solved in the current processing step; the flush
+  /// the pieces it solved in the current processing step; the flush
   /// (a zero-delay self event) applies the per-node top-k cut and ships
   /// it as ONE result message — the paper's "each queried index node
   /// returns the 10-nearest local results".
@@ -328,8 +334,11 @@ class IndexPlatform {
   /// erase invalidates the local store.
   bool erase_entry(const ChordNode& n, std::uint32_t scheme,
                    std::uint64_t object, Id key);
-  /// The local solve: store probe, scoring, reply staging.
-  void on_solve(const RangeQuery& q, ChordNode& node);
+  /// The local solve of one routing episode's pieces at `node` (all of
+  /// one query): one store probe over their bounding box, keeping the
+  /// rows inside any piece, then scoring and reply staging. The naive
+  /// router hands its pieces over one at a time.
+  void on_solve(std::span<const RangeQuery> pieces, ChordNode& node);
   void flush_reply(std::uint64_t qid, ChordNode& node);
   void on_fanout(std::uint64_t qid, int delta);
   void on_sent(std::uint64_t qid, std::uint64_t bytes);
@@ -339,8 +348,10 @@ class IndexPlatform {
   Options opts_;
   std::vector<std::unique_ptr<SchemeRouting>> schemes_;
   std::vector<std::string> scheme_names_;
-  /// on_solve scratch: entry indices the local store surfaced for the
-  /// current subquery. One buffer suffices — solves never nest.
+  /// on_solve scratch: the bounding box of the current pieces and the
+  /// entry indices the local store surfaced for it. One of each
+  /// suffices — solves never nest.
+  Region solve_box_;
   std::vector<std::uint32_t> solve_hits_;
   // Lookup-only store map: every cross-node walk goes through ring
   // order (Ring::nodes), not this map.

@@ -116,9 +116,11 @@ class LandmarkIndex {
                    ReplyMode mode, IndexPlatform::QueryCallback done) {
     IndexPlatform::DistanceFn rank;
     if (objects_) {
-      // No memo: a node ranks each hit once, before any sort; only an
-      // entry lying exactly on a split plane is ranked twice, and a memo
-      // recorded no repeat calls on fig2, fig5 or the flagship.
+      // No memo: a node ranks each hit once, before any sort. An entry
+      // lying exactly on a split plane is ranked once per routing
+      // episode, so twice only when the pieces on both sides reach the
+      // node in different episodes; a memo recorded no repeat calls on
+      // fig2, fig5 or the flagship.
       rank = [this, q](std::uint64_t id) {
         return space_->distance(q, objects_(id));
       };

@@ -5,21 +5,26 @@
 namespace lmk {
 
 Id lph_hash(std::span<const double> point, const Boundary& boundary) {
-  std::size_t k = boundary.size();
+  const std::size_t k = boundary.size();
   LMK_CHECK(point.size() == k);
   LMK_CHECK(k >= 1);
-  std::vector<Interval> r(boundary.begin(), boundary.end());
+  // Division i splits dimension (i - 1) mod k, so dimension j owns
+  // divisions j+1, j+1+k, ...; halving one local interval along them
+  // gives the same midpoints as Algorithm 2's interleaved walk.
+  const int used = static_cast<int>(std::min<std::size_t>(k, kIdBits));
   Id key = 0;
-  for (int i = 1; i <= kIdBits; ++i) {
-    std::size_t j = static_cast<std::size_t>(i - 1) % k;
-    double v = std::clamp(point[j], boundary[j].lo, boundary[j].hi);
-    double mid = (r[j].lo + r[j].hi) / 2.0;
-    if (v > mid) {
-      r[j].lo = mid;
-      key = (key << 1) | 1u;
-    } else {
-      r[j].hi = mid;
-      key = key << 1;
+  for (int j = 0; j < used; ++j) {
+    const Interval& b = boundary[static_cast<std::size_t>(j)];
+    double lo = b.lo;
+    double hi = b.hi;
+    const double v = std::clamp(point[static_cast<std::size_t>(j)], lo, hi);
+    for (int i = j + 1; i <= kIdBits; i += static_cast<int>(k)) {
+      const double mid = (lo + hi) / 2.0;
+      const bool upper = v > mid;
+      // Selects, not branches: the halves are taken at random.
+      lo = upper ? mid : lo;
+      hi = upper ? hi : mid;
+      key |= Id{upper} << (kIdBits - i);
     }
   }
   return key;

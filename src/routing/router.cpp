@@ -5,6 +5,18 @@
 #include "common/check.hpp"
 
 namespace lmk {
+namespace {
+
+// The episode's pieces, solved one at a time in order.
+QueryRouter::SolveFn each_piece(QueryRouter::PieceFn solve) {
+  LMK_CHECK(solve != nullptr);
+  return [solve = std::move(solve)](std::span<const RangeQuery> pieces,
+                                    ChordNode& node) {
+    for (const RangeQuery& q : pieces) solve(q, node);
+  };
+}
+
+}  // namespace
 
 QueryRouter::QueryRouter(Ring& ring, SolveFn solve, FanoutFn fanout,
                          SentFn sent)
@@ -15,6 +27,11 @@ QueryRouter::QueryRouter(Ring& ring, SolveFn solve, FanoutFn fanout,
   LMK_CHECK(solve_ != nullptr);
   LMK_CHECK(fanout_ != nullptr);
 }
+
+QueryRouter::QueryRouter(Ring& ring, PieceFn solve, FanoutFn fanout,
+                         SentFn sent)
+    : QueryRouter(ring, each_piece(std::move(solve)), std::move(fanout),
+                  std::move(sent)) {}
 
 template <typename Fn>
 void QueryRouter::episode(ChordNode& at, Fn&& work) {
@@ -27,6 +44,12 @@ void QueryRouter::episode(ChordNode& at, Fn&& work) {
   }
   in_episode_ = true;
   work();
+  if (!local_.empty()) {
+    // Every solve happens at the episode's node: only surrogate
+    // refinement solves, and it runs where the message was delivered.
+    solve_(local_, at);
+    local_.clear();
+  }
   in_episode_ = false;
   flush(at);
 }
@@ -34,6 +57,11 @@ void QueryRouter::episode(ChordNode& at, Fn&& work) {
 void QueryRouter::start(ChordNode& origin_node, RangeQuery q) {
   episode(origin_node,
           [&]() { query_routing(origin_node, std::move(q)); });
+}
+
+void QueryRouter::solve_local(RangeQuery q) {
+  LMK_CHECK(in_episode_);
+  local_.push_back(std::move(q));
 }
 
 void QueryRouter::enqueue(NodeRef to, RangeQuery q, bool to_surrogate) {
@@ -173,7 +201,7 @@ void QueryRouter::surrogate_refine(ChordNode& me, RangeQuery q) {
       // Either the cuboid is a single leaf owned by me, or my identifier
       // lies beyond the cuboid's key span — every remaining key of the
       // cuboid falls in (predecessor, me]: solve the whole query here.
-      solve_(cur, me);
+      solve_local(std::move(cur));
       return;
     }
     int p = cur.prefix.length + 1;
@@ -186,7 +214,7 @@ void QueryRouter::surrogate_refine(ChordNode& me, RangeQuery q) {
       if (qbit == 0) {
         // Child cuboid's keys all precede my identifier (and follow my
         // predecessor): fully covered, solve locally.
-        solve_(cur, me);
+        solve_local(std::move(cur));
       } else {
         // Child cuboid's keys all exceed my identifier: forward it
         // (Alg. 5 line 17) — QueryRouting runs locally; the episode's
@@ -201,7 +229,7 @@ void QueryRouter::surrogate_refine(ChordNode& me, RangeQuery q) {
     // first): the half containing my identifier refines further; its
     // sibling is solved locally (keys below vid) or forwarded (above).
     if (vbit == 1) {
-      solve_(lower, me);
+      solve_local(std::move(lower));
       cur = std::move(upper);
     } else {
       query_routing(me, std::move(upper));

@@ -20,11 +20,16 @@
 // region-inside-prefix-cuboid invariant and is validated against a
 // brute-force owner oracle in tests/routing_test.cpp.
 //
-// Message batching: all subqueries a node emits toward the same next hop
-// while processing one incoming message are shipped as ONE message — the
-// paper's byte model (20 + 4 + n·(4k+9)) explicitly carries n subqueries
-// per message. Surrogate refinement routinely produces several siblings
-// bound for the successor, so batching matters.
+// Episodes: one incoming message (or one injection) at one node is one
+// routing episode, and the episode is the unit of batching both ways.
+// All subqueries the node emits toward the same next hop are shipped as
+// ONE message — the paper's byte model (20 + 4 + n·(4k+9)) explicitly
+// carries n subqueries per message, and surrogate refinement routinely
+// produces several siblings bound for the successor. All pieces the
+// node solves locally are handed to the solver in ONE call, after the
+// episode's work and before its flush, so the platform answers them
+// with one store probe (on balanced-range a refinement solves ~6 pieces
+// per message at the same node).
 //
 // Rotation (§3.4) is handled by routing on key + φ and comparing
 // prefixes against the node's *virtual* identifier id − φ, which maps
@@ -32,6 +37,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -43,11 +49,18 @@ namespace lmk {
 /// Delivery engine for range queries. One router serves all schemes.
 class QueryRouter {
  public:
-  /// Called when `node` must solve `q` locally: report every stored
-  /// entry of q's scheme whose index point lies in q.region back to
-  /// q.origin. The callback is also responsible for completion
-  /// accounting (the platform tracks outstanding subqueries).
-  using SolveFn = std::function<void(const RangeQuery& q, ChordNode& node)>;
+  /// Called once per episode that solved anything locally: `node` must
+  /// report every stored entry of the scheme whose index point lies in
+  /// any piece's region back to the pieces' origin. The span is
+  /// non-empty, and its pieces share one qid (an episode handles one
+  /// query). The callback is also responsible for completion
+  /// accounting: each piece closes one outstanding subquery.
+  using SolveFn =
+      std::function<void(std::span<const RangeQuery> pieces, ChordNode& node)>;
+
+  /// One piece at a time: the form perfbench/program.hpp's routing
+  /// replay still passes. Adapted to SolveFn; nothing else uses it.
+  using PieceFn = std::function<void(const RangeQuery& q, ChordNode& node)>;
 
   /// Called whenever one subquery becomes `n` subqueries (n >= 1 at
   /// every split/descend; n == 1 means the subquery survives). Lets the
@@ -59,6 +72,7 @@ class QueryRouter {
   using SentFn = std::function<void(std::uint64_t qid, std::uint64_t bytes)>;
 
   QueryRouter(Ring& ring, SolveFn solve, FanoutFn fanout, SentFn sent = {});
+  QueryRouter(Ring& ring, PieceFn solve, FanoutFn fanout, SentFn sent = {});
 
   /// Inject a query at its origin node (Algorithm 3 runs locally first).
   /// The caller must have registered the query with the completion
@@ -81,12 +95,14 @@ class QueryRouter {
 
   void query_routing(ChordNode& at, RangeQuery q);
   void surrogate_refine(ChordNode& at, RangeQuery q);
+  /// Keep a fully covered piece for the episode's one solve call.
+  void solve_local(RangeQuery q);
   void enqueue(NodeRef to, RangeQuery q, bool to_surrogate);
   void process(ChordNode& at, Parcel parcel);
 
-  /// Run `work` as one message-processing episode at `at`: all enqueued
-  /// parcels are grouped by target and flushed as one message each when
-  /// the episode ends.
+  /// Run `work` as one message-processing episode at `at`: the pieces
+  /// solved locally go to the solver in one call, then all enqueued
+  /// parcels are grouped by target and flushed as one message each.
   template <typename Fn>
   void episode(ChordNode& at, Fn&& work);
   void flush(ChordNode& from);
@@ -98,6 +114,7 @@ class QueryRouter {
   TrafficCounter traffic_;
 
   bool in_episode_ = false;
+  std::vector<RangeQuery> local_;  ///< this episode's solved pieces
   std::vector<std::pair<NodeRef, Parcel>> outbox_;
 };
 

@@ -2,6 +2,9 @@
 // and the cuboid/prefix machinery that query routing builds on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "lph/lph.hpp"
 
@@ -9,6 +12,85 @@ namespace lmk {
 namespace {
 
 Boundary unit_box(std::size_t dims) { return uniform_boundary(dims, 0, 1); }
+
+// Algorithm 2 as first written: one interleaved walk over a heap copy of
+// the boundary, taking each half by a branch.
+Id lph_hash_allocating_reference(std::span<const double> point,
+                                 const Boundary& boundary) {
+  std::size_t k = boundary.size();
+  std::vector<Interval> r(boundary.begin(), boundary.end());
+  Id key = 0;
+  for (int i = 1; i <= kIdBits; ++i) {
+    std::size_t j = static_cast<std::size_t>(i - 1) % k;
+    double v = std::clamp(point[j], boundary[j].lo, boundary[j].hi);
+    double mid = (r[j].lo + r[j].hi) / 2.0;
+    if (v > mid) {
+      r[j].lo = mid;
+      key = (key << 1) | 1u;
+    } else {
+      r[j].hi = mid;
+      key = key << 1;
+    }
+  }
+  return key;
+}
+
+TEST(Lph, HashMatchesAllocatingReference) {
+  // Every kind of coordinate, mixed within one point: inside the
+  // boundary, outside it on either side (clamped), on either edge, and
+  // exactly on one of the midpoints the walk computes (a split plane,
+  // which hashes to the lower half).
+  Rng rng(23);
+  for (const std::size_t k : {1u, 2u, 3u, 10u, 33u, 64u, 65u}) {
+    Boundary uneven(k);
+    for (std::size_t d = 0; d < k; ++d) {
+      uneven[d] = Interval{-3.7 + 0.03 * static_cast<double>(d),
+                           11.2 - 0.02 * static_cast<double>(d)};
+    }
+    for (const Boundary& b : {unit_box(k), uneven}) {
+      // Dimension d is split at divisions d+1, d+1+k, ...
+      const int depth = static_cast<int>((kIdBits + k - 1) / k);
+      std::vector<double> pt(k);
+      for (int n = 0; n < 2000; ++n) {
+        for (std::size_t d = 0; d < k; ++d) {
+          const Interval& r = b[d];
+          switch (rng.below(6)) {
+            case 0:
+              pt[d] = rng.uniform(r.lo, r.hi);
+              break;
+            case 1:
+              pt[d] = r.lo - rng.uniform(0, 5);
+              break;
+            case 2:
+              pt[d] = r.hi + rng.uniform(0, 5);
+              break;
+            case 3:
+              pt[d] = r.lo;
+              break;
+            case 4:
+              pt[d] = r.hi;
+              break;
+            default: {
+              // Walk a random path of halvings and land on its midpoint.
+              double lo = r.lo;
+              double hi = r.hi;
+              const int steps =
+                  static_cast<int>(rng.below(static_cast<std::uint64_t>(
+                      depth)));
+              for (int s = 0; s < steps; ++s) {
+                const double mid = (lo + hi) / 2.0;
+                (rng.below(2) == 1 ? lo : hi) = mid;
+              }
+              pt[d] = (lo + hi) / 2.0;
+            }
+          }
+        }
+        ASSERT_EQ(lph_hash(pt, b), lph_hash_allocating_reference(pt, b))
+            << "k=" << k << " point " << n;
+      }
+    }
+  }
+}
 
 TEST(LphHash, OneDimensionIsScaledValue) {
   Boundary b = unit_box(1);

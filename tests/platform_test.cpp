@@ -455,6 +455,47 @@ TEST(PlatformQueries, CandidateTallyMatchesStoredEntriesInRegion) {
   }
 }
 
+TEST(PlatformQueries, PlaneEntryIsScoredOncePerEpisode) {
+  // Two nodes: A at the top of the ring owns every key above B = 1.
+  // Injected at A, the query splits at the first plane (dim 0 = 0.5);
+  // both halves travel to B in one message, and B sends both back to A
+  // in one message, so A solves both halves in one routing episode with
+  // one store probe. The entry on the plane lies in both closed halves:
+  // it is a candidate once (the per-piece probes counted it twice).
+  Simulator sim;
+  ConstantLatencyModel topo(2, 10 * kMillisecond);
+  Network net(sim, topo);
+  Ring ring(net, Ring::Options{});
+  ChordNode& a = ring.create_node_with_id(0, ~Id{0});
+  ring.create_node_with_id(1, Id{1});
+  ring.bootstrap();
+  IndexPlatform platform(ring);
+  auto scheme =
+      platform.register_scheme("plane", uniform_boundary(2, 0, 1), false);
+  platform.insert(scheme, 1, IndexPoint{0.5, 0.15});   // on the plane
+  platform.insert(scheme, 2, IndexPoint{0.45, 0.12});  // lower half
+  platform.insert(scheme, 3, IndexPoint{0.55, 0.18});  // upper half
+  platform.insert(scheme, 4, IndexPoint{0.7, 0.15});   // outside
+  ASSERT_EQ(platform.store(a, scheme).size(), 4u);
+  std::optional<IndexPlatform::QueryOutcome> outcome;
+  platform.region_query(a, scheme, Region{{Interval{0.4, 0.6},
+                                           Interval{0.1, 0.2}}},
+                        IndexPoint{0.5, 0.15}, ReplyMode::kAllMatches,
+                        [&](const auto& o) { outcome = o; });
+  sim.run();
+  ASSERT_TRUE(outcome.has_value());
+  ASSERT_TRUE(outcome->complete);
+  EXPECT_EQ(outcome->subqueries, 2);  // the two halves
+  EXPECT_EQ(outcome->index_nodes, 1);
+  EXPECT_EQ(outcome->result_messages, 1u);
+  std::set<std::uint64_t> got(outcome->results.begin(),
+                              outcome->results.end());
+  EXPECT_EQ(got, (std::set<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(outcome->results.size(), 3u);
+  EXPECT_EQ(outcome->candidates, 3u);
+  EXPECT_EQ(outcome->max_node_candidates, 3u);
+}
+
 TEST(PlatformLoad, MedianKeyHandlesRingWrap) {
   // A node whose ownership range wraps the zero point must still split
   // its entries correctly in ring order.

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <set>
+#include <span>
 
+#include "balance/rotation.hpp"
 #include "core/index_platform.hpp"
 #include "routing/query.hpp"
 
@@ -463,6 +466,141 @@ TEST(Routing, Algorithm5SpillRegressionPaperListingWouldMissThis) {
   std::set<std::uint64_t> got(outcome->results.begin(),
                               outcome->results.end());
   EXPECT_EQ(got, (std::set<std::uint64_t>{7, 8}));
+}
+
+TEST(Routing, EpisodeHandsEachNodeItsLocalPiecesInOneCall) {
+  // Surrogate refinement solves a message's covered child cuboids at
+  // the node it reached; the router hands them over in one call per
+  // routing episode. Each call's pieces belong to the running query and
+  // hold only keys the solving node owns, and a query's pieces tile its
+  // region: a point off the split planes lies in exactly one of them.
+  struct Call {
+    ChordNode* node;
+    std::vector<RangeQuery> pieces;
+  };
+  // An odd multiple of 2^-53 lies on no split plane of the unit box: a
+  // plane d divisions deep in one dimension sits on a multiple of 2^-d,
+  // and no dimension is split more than 22 times here.
+  auto off_plane = [](double v) {
+    return (std::floor(v * 0x1p52) * 2 + 1) * 0x1p-53;
+  };
+  for (const std::size_t nodes : {8u, 64u}) {
+    for (const std::size_t dims : {3u, 10u}) {
+      for (const bool rotate : {false, true}) {
+        SCOPED_TRACE(std::to_string(nodes) + " nodes, " +
+                     std::to_string(dims) + " dims" +
+                     (rotate ? ", rotated" : ""));
+        Simulator sim;
+        ConstantLatencyModel topo(nodes, 10 * kMillisecond);
+        Network net(sim, topo);
+        Ring::Options ropts;
+        ropts.seed = 31 + nodes + dims;
+        Ring ring(net, ropts);
+        for (HostId h = 0; h < nodes; ++h) ring.create_node(h);
+        ring.bootstrap();
+        SchemeRouting sch;
+        sch.boundary = uniform_boundary(dims, 0, 1);
+        sch.rotation = rotate ? rotation_offset("episode") : 0;
+        sch.query_message_bytes = query_message_size(dims);
+        std::vector<Call> calls;
+        std::int64_t outstanding = 0;
+        QueryRouter router(
+            ring,
+            [&](std::span<const RangeQuery> pieces, ChordNode& node) {
+              calls.push_back({&node, {pieces.begin(), pieces.end()}});
+              outstanding -= static_cast<std::int64_t>(pieces.size());
+            },
+            [&](std::uint64_t, int delta) { outstanding += delta; });
+        const auto ring_nodes = ring.alive_nodes();
+        Rng rng(41 + nodes + dims);
+        std::size_t total_calls = 0;
+        std::size_t total_pieces = 0;
+        for (std::uint64_t qid = 1; qid <= 6; ++qid) {
+          Region region;
+          for (std::size_t d = 0; d < dims; ++d) {
+            const double lo = rng.uniform(0, 0.5);
+            region.ranges.push_back(Interval{lo, lo + rng.uniform(0.2, 0.5)});
+          }
+          // Half the points drawn inside the region, half anywhere.
+          std::vector<IndexPoint> pts(600, IndexPoint(dims));
+          for (std::size_t i = 0; i < pts.size(); ++i) {
+            for (std::size_t d = 0; d < dims; ++d) {
+              const Interval& r = region.ranges[d];
+              pts[i][d] = off_plane(i % 2 == 0 ? rng.uniform(r.lo, r.hi)
+                                               : rng.uniform());
+            }
+          }
+          RangeQuery q;
+          make_query(sch, qid, 0, region, IndexPoint(dims, 0.5), &q);
+          calls.clear();
+          outstanding = 1;
+          router.start(*ring_nodes[rng.below(ring_nodes.size())],
+                       std::move(q));
+          sim.run();
+          EXPECT_EQ(outstanding, 0) << "query " << qid;
+          std::vector<int> cover(pts.size(), 0);
+          for (const Call& c : calls) {
+            ASSERT_FALSE(c.pieces.empty());
+            total_pieces += c.pieces.size();
+            for (const RangeQuery& piece : c.pieces) {
+              EXPECT_EQ(piece.qid, qid);
+              for (std::size_t i = 0; i < pts.size(); ++i) {
+                if (linf_box_distance(pts[i], piece.region) > 0.0) continue;
+                ++cover[i];
+                EXPECT_TRUE(c.node->owns(lph_hash(pts[i], sch.boundary) +
+                                         sch.rotation))
+                    << "query " << qid << " point " << i;
+              }
+            }
+          }
+          total_calls += calls.size();
+          int inside = 0;
+          for (std::size_t i = 0; i < pts.size(); ++i) {
+            const bool in = linf_box_distance(pts[i], region) <= 0.0;
+            inside += in ? 1 : 0;
+            EXPECT_EQ(cover[i], in ? 1 : 0) << "query " << qid << " point "
+                                            << i;
+          }
+          EXPECT_GE(inside, 300) << "query " << qid;
+        }
+        if (nodes == 64 && dims == 10) {
+          EXPECT_LT(total_calls, total_pieces);
+        }
+      }
+    }
+  }
+}
+
+TEST(Routing, NaivePointQueryIsAnsweredByItsOwnerAlone) {
+  // A point query's prefix is a whole leaf (64 bits), so its key span
+  // is its key alone: the naive router delivers it to the key's owner,
+  // which solves it and walks no further along the ring.
+  IndexPlatform::Options popts;
+  popts.routing = RoutingMode::kNaive;
+  popts.naive_split_depth = 8;
+  Stack s(64, 15, popts);
+  Rng rng(15);
+  std::uint32_t scheme = s.platform->register_scheme(
+      "naive-pt", uniform_boundary(3, 0, 1), false);
+  auto pts = random_points(200, 3, rng);
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    s.platform->insert(scheme, i, pts[i]);
+  }
+  auto nodes = s.ring->alive_nodes();
+  for (int t = 0; t < 10; ++t) {
+    std::size_t target = rng.below(pts.size());
+    Region r;
+    for (double v : pts[target]) r.ranges.push_back(Interval{v, v});
+    std::optional<IndexPlatform::QueryOutcome> outcome;
+    s.platform->region_query(*nodes[rng.below(nodes.size())], scheme, r,
+                             pts[target], ReplyMode::kAllMatches,
+                             [&](const auto& o) { outcome = o; });
+    s.sim.run();
+    ASSERT_TRUE(outcome.has_value());
+    EXPECT_EQ(outcome->results, std::vector<std::uint64_t>{target});
+    EXPECT_EQ(outcome->subqueries, 1) << "query " << t;
+    EXPECT_EQ(outcome->index_nodes, 1) << "query " << t;
+  }
 }
 
 // QuerySplit unit coverage (Algorithm 4).
