@@ -20,7 +20,9 @@
 #                                       #   2. clang-tidy (scripts/tidy.sh)
 #                                       #   3. plain build (-Werror) + ctest
 #                                       #   4. audit leg (LMK_AUDIT=1 ctest)
-#                                       #   5. ASan, UBSan, TSan builds + ctest
+#                                       #   5. ASan+UBSan build (CI's
+#                                       #      sanitizer leg), then TSan
+#                                       #      build, each + ctest
 #                                       #   6. alloc-guard leg (below)
 #                                       #   7. sched smoke (below)
 #   scripts/check.sh --alloc-guard      # allocation-discipline leg: build
@@ -227,13 +229,13 @@ if [ "${1:-}" = "--all" ]; then
   BUILD_DIR=build-check scripts/tidy.sh
   run_leg ""
   run_audit
-  for san in address undefined thread; do
+  for san in address,undefined thread; do
     run_leg "$san"
   done
   run_alloc_guard
   run_sched_smoke
-  echo "check.sh: OK (--all: lint + tidy + plain + audit + asan/ubsan/tsan" \
-       "+ alloc-guard + sched-smoke, LMK_THREADS=$LMK_THREADS)"
+  echo "check.sh: OK (--all: lint + tidy + plain + audit + asan+ubsan" \
+       "+ tsan + alloc-guard + sched-smoke, LMK_THREADS=$LMK_THREADS)"
   exit 0
 fi
 

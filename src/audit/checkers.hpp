@@ -54,8 +54,6 @@ class ConservationChecker : public Checker {
   /// before the events that must conserve the index.
   void capture(const AuditContext& ctx);
 
-  [[nodiscard]] bool captured() const { return captured_; }
-
   void check(const AuditContext& ctx, AuditReport* out) override;
 
  private:

@@ -12,12 +12,18 @@ void EntryStore::adopt_dims(std::size_t dims) {
   }
 }
 
-void EntryStore::push_back(Id key, std::uint64_t object,
-                           std::span<const double> pt) {
+void EntryStore::push_row(Id key, std::uint64_t object,
+                          std::span<const double> pt) {
   adopt_dims(pt.size());
   keys_.push_back(key);
   objects_.push_back(object);
   coords_.insert(coords_.end(), pt.begin(), pt.end());
+}
+
+void EntryStore::push_back(Id key, std::uint64_t object,
+                           std::span<const double> pt) {
+  ++writes_;
+  push_row(key, object, pt);
 }
 
 void EntryStore::push_back(const EntryView& v) {
@@ -27,11 +33,13 @@ void EntryStore::push_back(const EntryView& v) {
 
 void EntryStore::pop_back() {
   LMK_CHECK(!empty());
+  ++writes_;
   truncate(size() - 1);
 }
 
 void EntryStore::erase_at(std::size_t i) {
   LMK_CHECK(i < size());
+  ++writes_;
   keys_.erase(keys_.begin() + static_cast<long>(i));
   objects_.erase(objects_.begin() + static_cast<long>(i));
   coords_.erase(coords_.begin() + static_cast<long>(i * dims_),
@@ -49,12 +57,11 @@ bool EntryStore::erase_first(std::uint64_t object, Id key) {
 }
 
 void EntryStore::clear() {
-  keys_.clear();
-  objects_.clear();
-  coords_.clear();
+  ++writes_;
+  truncate(0);
 }
 
-void EntryStore::append(const EntryStore& src) {
+void EntryStore::append_rows(const EntryStore& src) {
   if (src.empty()) return;
   adopt_dims(src.dims_);
   keys_.insert(keys_.end(), src.keys_.begin(), src.keys_.end());
@@ -62,18 +69,25 @@ void EntryStore::append(const EntryStore& src) {
   coords_.insert(coords_.end(), src.coords_.begin(), src.coords_.end());
 }
 
+void EntryStore::append(const EntryStore& src) {
+  ++writes_;
+  append_rows(src);
+}
+
 void EntryStore::append_moved(EntryStore& src) {
+  ++writes_;
+  ++src.writes_;
   if (src.empty()) return;
   if (empty()) {
+    // Swap the rows only: each store keeps its own write count.
     dims_ = src.dims_;
     keys_.swap(src.keys_);
     objects_.swap(src.objects_);
     coords_.swap(src.coords_);
-    src.clear();
-    return;
+  } else {
+    append_rows(src);
   }
-  append(src);
-  src.clear();
+  src.truncate(0);
 }
 
 void EntryStore::truncate(std::size_t n) {

@@ -14,6 +14,11 @@
 // order. Entry order never leaks into query results (replies are
 // sorted and deduped downstream), but keeping the semantics simple
 // keeps the equivalence argument simple too.
+//
+// Every public mutator counts one write per store it touches, whether
+// or not it changed a row (erase_first counts through erase_at, so only
+// when it erases). The LocalStore indexing a store compares that count
+// at each probe, so it sees every write without the writer's help.
 #pragma once
 
 #include <cstddef>
@@ -54,6 +59,8 @@ class EntryStore {
   [[nodiscard]] std::size_t size() const { return keys_.size(); }
   [[nodiscard]] bool empty() const { return keys_.empty(); }
   [[nodiscard]] std::size_t dims() const { return dims_; }
+  /// Mutating calls made on this store so far.
+  [[nodiscard]] std::uint64_t writes() const { return writes_; }
 
   // lmk-hot-path: solver range scans call these per candidate entry.
   [[nodiscard]] Id key(std::size_t i) const { return keys_[i]; }
@@ -91,7 +98,10 @@ class EntryStore {
   void erase_at(std::size_t i);
   /// Remove the first entry matching (object, key); false if absent.
   bool erase_first(std::uint64_t object, Id key);
-  void set_key(std::size_t i, Id k) { keys_[i] = k; }
+  void set_key(std::size_t i, Id k) {
+    ++writes_;
+    keys_[i] = k;
+  }
   void clear();
 
   /// Append copies of all of src's entries, in order.
@@ -106,10 +116,12 @@ class EntryStore {
   /// order.
   template <typename Pred>
   void extract_if(Pred pred, EntryStore& dst) {
+    ++writes_;
+    ++dst.writes_;
     std::size_t w = 0;
     for (std::size_t i = 0; i < size(); ++i) {
       if (pred(keys_[i])) {
-        dst.push_back(keys_[i], objects_[i], point(i));
+        dst.push_row(keys_[i], objects_[i], point(i));
         continue;
       }
       if (w != i) {
@@ -147,7 +159,10 @@ class EntryStore {
   [[nodiscard]] const_iterator end() const { return {this, size()}; }
 
  private:
+  // Row primitives behind the public mutators; they count no writes.
   void adopt_dims(std::size_t dims);
+  void push_row(Id key, std::uint64_t object, std::span<const double> pt);
+  void append_rows(const EntryStore& src);
   void truncate(std::size_t n);
 
   std::vector<Id> keys_;
@@ -155,6 +170,7 @@ class EntryStore {
   std::vector<double> coords_;  ///< size() * dims_ doubles, row-major
   std::vector<double> scratch_; ///< staging for self-aliasing pushes
   std::size_t dims_ = 0;
+  std::uint64_t writes_ = 0;
 };
 
 }  // namespace lmk

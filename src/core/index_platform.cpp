@@ -98,17 +98,7 @@ IndexPlatform::SchemeStore& IndexPlatform::scheme_store(const ChordNode& n,
 }
 
 EntryStore& IndexPlatform::entries(const ChordNode& n, std::uint32_t scheme) {
-  SchemeStore& ss = scheme_store(n, scheme);
-  ss.local.invalidate();  // the caller may mutate
-  return ss.entries;
-}
-
-bool IndexPlatform::erase_entry(const ChordNode& n, std::uint32_t scheme,
-                                std::uint64_t object, Id key) {
-  SchemeStore& ss = scheme_store(n, scheme);
-  if (!ss.entries.erase_first(object, key)) return false;
-  ss.local.invalidate();
-  return true;
+  return scheme_store(n, scheme).entries;
 }
 
 std::vector<ChordNode*> IndexPlatform::replica_nodes(Id key) const {
@@ -189,7 +179,7 @@ bool IndexPlatform::remove(std::uint32_t scheme_id, std::uint64_t object,
   Id key = lph_hash(point, sch.boundary) + sch.rotation;
   bool removed = false;
   for (ChordNode* node : replica_nodes(key)) {
-    removed |= erase_entry(*node, scheme_id, object, key);
+    removed |= entries(*node, scheme_id).erase_first(object, key);
   }
   return removed;
 }
@@ -206,7 +196,7 @@ void IndexPlatform::remove_via_network(
         (void)owner;  // replica_nodes(key) starts at the owner
         bool removed = false;
         for (ChordNode* replica : replica_nodes(key)) {
-          removed |= erase_entry(*replica, scheme_id, object, key);
+          removed |= entries(*replica, scheme_id).erase_first(object, key);
         }
         if (done) done(removed, hops);
       });
@@ -218,9 +208,7 @@ void IndexPlatform::clear_scheme(std::uint32_t scheme_id) {
   // lmk-lint: iteration-order-independent
   for (auto& [node, store] : stores_) {
     if (scheme_id < store.per_scheme.size()) {
-      SchemeStore& ss = store.per_scheme[scheme_id];
-      ss.entries.clear();
-      ss.local.invalidate();
+      store.per_scheme[scheme_id].entries.clear();
     }
   }
 }
@@ -490,8 +478,6 @@ void IndexPlatform::drain_all(ChordNode& from, ChordNode& to) {
   NodeStore& dst = store_of(to);
   for (std::size_t s = 0; s < src.per_scheme.size(); ++s) {
     dst.per_scheme[s].entries.append_moved(src.per_scheme[s].entries);
-    src.per_scheme[s].local.invalidate();
-    dst.per_scheme[s].local.invalidate();
   }
 }
 
@@ -502,8 +488,6 @@ void IndexPlatform::transfer_owned(ChordNode& from, ChordNode& to) {
   NodeStore& src = store_of(from);
   NodeStore& dst = store_of(to);
   for (std::size_t s = 0; s < src.per_scheme.size(); ++s) {
-    src.per_scheme[s].local.invalidate();
-    dst.per_scheme[s].local.invalidate();
     // Stable extraction: entries `to` now owns move over in store
     // order, survivors compact in place. (The old vector store used an
     // unstable std::partition here; store order never reaches query
@@ -673,7 +657,6 @@ void IndexPlatform::repair_replication() {
       // Dead stores are purged either way: their copies are lost, and a
       // node reviving later must not resurrect stale data.
       store.per_scheme[sc].entries.clear();
-      store.per_scheme[sc].local.invalidate();
     }
   }
   for (std::size_t sc = 0; sc < per_scheme.size(); ++sc) {

@@ -279,9 +279,10 @@ class IndexPlatform {
  private:
   /// One scheme's entries on one node, plus the LocalStore indexing
   /// them. on_solve probes the LocalStore instead of scanning the whole
-  /// store. Every writer invalidates it; the store then decides when a
-  /// rebuild has paid for itself (see src/store/local_store.hpp), which
-  /// is also what keeps migration and rotation working unchanged.
+  /// store. The LocalStore sees every write through the EntryStore's
+  /// write count and decides when a rebuild has paid for itself (see
+  /// src/store/local_store.hpp), which is also what keeps migration and
+  /// rotation working unchanged.
   struct SchemeStore {
     EntryStore entries;
     LocalStore local;
@@ -327,13 +328,9 @@ class IndexPlatform {
              std::uint64_t object, std::span<const double> point);
   NodeStore& store_of(const ChordNode& n);
   SchemeStore& scheme_store(const ChordNode& n, std::uint32_t scheme);
-  /// Mutable entry store; invalidates the local store. All writers must
-  /// come through here, or invalidate it themselves.
+  /// Mutable entry store of one scheme on `n` (grows the node's
+  /// per-scheme slots on first use).
   EntryStore& entries(const ChordNode& n, std::uint32_t scheme);
-  /// Erase one copy of (object, key) from `n`'s store. Only a successful
-  /// erase invalidates the local store.
-  bool erase_entry(const ChordNode& n, std::uint32_t scheme,
-                   std::uint64_t object, Id key);
   /// The local solve of one routing episode's pieces at `node` (all of
   /// one query): one store probe over their bounding box, keeping the
   /// rows inside any piece, then scoring and reply staging. The naive

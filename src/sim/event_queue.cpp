@@ -8,10 +8,9 @@
 namespace lmk {
 namespace {
 
-/// Avalanching mix (the splitmix64 finalizer) so clustered timestamps
-/// spread across the probe table.
-std::uint64_t mix(SimTime at) {
-  auto x = static_cast<std::uint64_t>(at);
+/// The splitmix64 finalizer: a bijection on 64-bit words, so distinct
+/// sequence numbers draw distinct kShuffled tie keys.
+std::uint64_t mix(std::uint64_t x) {
   x ^= x >> 33;
   x *= 0xff51afd7ed558ccdull;
   x ^= x >> 33;
@@ -23,64 +22,55 @@ std::uint64_t mix(SimTime at) {
 }  // namespace
 
 void EventQueue::push(SimTime at, EventFn fn, std::uint64_t actor) {
-  std::uint32_t b = find_or_create_bucket(at);
-  // Bucket slots keep their capacity across incarnations (clear(), not
-  // shrink), so growth stops at the high-water events-per-instant mark.
-  // lmk-lint: allow(hot-alloc) capacity warmup, amortizes to zero
-  buckets_[b].events.push_back(Slot{actor, std::move(fn)});
-  ++size_;
+  const std::uint64_t seq = next_seq_++;
+  std::uint64_t tie = seq;
+  if (mode_ == TieBreak::kReversed) tie = ~seq;
+  if (mode_ == TieBreak::kShuffled) tie = mix(shuffle_seed_ ^ seq);
+  std::uint32_t slot;
+  if (!free_.empty()) {
+    slot = free_.back();
+    free_.pop_back();
+    slots_[slot] = Slot{actor, std::move(fn)};
+  } else {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    // Popped slots recycle through free_, so the pool stops growing at
+    // the high-water count of pending events.
+    // lmk-lint: allow(hot-alloc) slot-pool warmup, amortizes to zero
+    slots_.push_back(Slot{actor, std::move(fn)});
+    // At most one free-list entry can exist per pool slot, so sizing
+    // free_ with the pool keeps the push_back in pop() from ever
+    // reallocating.
+    free_.reserve(slots_.capacity());
+  }
+  // lmk-lint: allow(hot-alloc) heap capacity warmup, amortizes to zero
+  heap_.push_back(Key{at, tie, slot});
+  sift_up(heap_.size() - 1);
 }
 
 SimTime EventQueue::next_time() const {
-  LMK_CHECK(size_ > 0);
-  // Invariant: while events are pending, the heap-min bucket is
-  // non-drained (pop sheds drained buckets eagerly), so its timestamp
-  // is the earliest pending instant.
+  LMK_CHECK(!heap_.empty());
   return heap_.front().at;
 }
 
 EventFn EventQueue::pop(SimTime* at) {
-  LMK_CHECK(size_ > 0);
-  Bucket& b = buckets_[heap_.front().bucket];
-  Slot slot;
-  if (mode_ == TieBreak::kFifo) {
-    slot = std::move(b.events[b.head++]);
-  } else {
-    if (mode_ == TieBreak::kShuffled && b.events.size() > 1) {
-      // Draw a seeded index and swap it to the back; the draw key mixes
-      // (seed, timestamp, draws-so-far) so the permutation is a pure
-      // function of the seed and the bucket's arrival sequence — a
-      // same-instant push joins the remaining pool and stays eligible.
-      // Swap moves the two Slots in place: no allocation on this path.
-      std::size_t idx =
-          mix(shuffle_seed_ ^ (mix(b.at) + b.drawn)) % b.events.size();
-      ++b.drawn;
-      if (idx + 1 != b.events.size()) std::swap(b.events[idx], b.events.back());
-    }
-    slot = std::move(b.events.back());
-    b.events.pop_back();
-  }
-  --size_;
-  note_pop(b.at, slot.actor);
-  if (at != nullptr) *at = b.at;
-  // Shed the bucket as soon as it drains so the heap min is always a
-  // live instant. A later push at the same timestamp (e.g. a zero-delay
-  // schedule from the event we just popped) simply opens a fresh bucket
-  // for it — by then every older same-instant event has already run, so
-  // queue/stack order across the two incarnations is still (at, tie).
-  while (!heap_.empty() && drained(buckets_[heap_.front().bucket])) {
-    release_min_bucket();
-  }
-  return std::move(slot.fn);
+  LMK_CHECK(!heap_.empty());
+  const Key top = heap_.front();
+  heap_.front() = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down(0);
+  Slot& s = slots_[top.slot];
+  note_pop(top.at, s.actor);
+  if (at != nullptr) *at = top.at;
+  EventFn fn = std::move(s.fn);
+  free_.push_back(top.slot);  // within the capacity push() reserved
+  return fn;
 }
 
 void EventQueue::clear() {
   heap_.clear();
-  buckets_.clear();
+  slots_.clear();
   free_.clear();
-  table_.clear();
-  table_live_ = 0;
-  size_ = 0;
+  next_seq_ = 0;
   flush_tie_group();
 }
 
@@ -100,18 +90,18 @@ TieStats EventQueue::tie_stats() {
 }
 
 void EventQueue::sift_up(std::size_t i) {
-  HeapItem item = heap_[i];
+  const Key key = heap_[i];
   while (i > 0) {
     std::size_t parent = (i - 1) / 4;
-    if (!before(item, heap_[parent])) break;
+    if (!before(key, heap_[parent])) break;
     heap_[i] = heap_[parent];
     i = parent;
   }
-  heap_[i] = item;
+  heap_[i] = key;
 }
 
 void EventQueue::sift_down(std::size_t i) {
-  HeapItem item = heap_[i];
+  const Key key = heap_[i];
   const std::size_t n = heap_.size();
   for (;;) {
     std::size_t first = i * 4 + 1;
@@ -121,100 +111,11 @@ void EventQueue::sift_down(std::size_t i) {
     for (std::size_t c = first + 1; c < last; ++c) {
       if (before(heap_[c], heap_[best])) best = c;
     }
-    if (!before(heap_[best], item)) break;
+    if (!before(heap_[best], key)) break;
     heap_[i] = heap_[best];
     i = best;
   }
-  heap_[i] = item;
-}
-
-std::uint32_t EventQueue::find_or_create_bucket(SimTime at) {
-  if (table_.empty()) table_.resize(64);
-  const std::size_t mask = table_.size() - 1;
-  std::size_t i = mix(at) & mask;
-  while (table_[i].bucket != kNoBucket) {
-    if (table_[i].key == at) return table_[i].bucket;
-    i = (i + 1) & mask;
-  }
-  std::uint32_t b;
-  if (!free_.empty()) {
-    b = free_.back();
-    free_.pop_back();
-  } else {
-    b = static_cast<std::uint32_t>(buckets_.size());
-    // Drained buckets recycle through free_, so the pool stops growing
-    // at the high-water count of distinct pending instants.
-    // lmk-lint: allow(hot-alloc) bucket-pool warmup, amortizes to zero
-    buckets_.emplace_back();
-    // At most one free-list entry can exist per pool slot, so sizing
-    // free_ with the pool here keeps the push_back in
-    // release_min_bucket() from ever reallocating: a late high-water of
-    // simultaneously drained buckets must not allocate in steady state.
-    // lmk-lint: allow(hot-alloc) grows only with the pool, amortizes to zero
-    free_.reserve(buckets_.capacity());
-  }
-  buckets_[b].at = at;
-  table_[i] = TableEntry{at, b};
-  ++table_live_;
-  // lmk-lint: allow(hot-alloc) heap capacity warmup, amortizes to zero
-  heap_.push_back(HeapItem{at, b});
-  sift_up(heap_.size() - 1);
-  if (table_live_ * 10 >= table_.size() * 7) table_grow();
-  return b;
-}
-
-void EventQueue::release_min_bucket() {
-  Bucket& b = buckets_[heap_.front().bucket];
-  table_erase(b.at);
-  b.events.clear();  // keeps capacity for the bucket's next incarnation
-  b.head = 0;
-  b.drawn = 0;
-  // lmk-lint: allow(hot-alloc) free-list capacity warmup, amortizes to zero
-  free_.push_back(heap_.front().bucket);
-  HeapItem last = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    heap_.front() = last;
-    sift_down(0);
-  }
-}
-
-void EventQueue::table_grow() {
-  std::vector<TableEntry> old = std::move(table_);
-  table_.assign(old.size() * 2, TableEntry{});
-  const std::size_t mask = table_.size() - 1;
-  for (const TableEntry& e : old) {
-    if (e.bucket == kNoBucket) continue;
-    std::size_t i = mix(e.key) & mask;
-    while (table_[i].bucket != kNoBucket) i = (i + 1) & mask;
-    table_[i] = e;
-  }
-}
-
-void EventQueue::table_erase(SimTime at) {
-  const std::size_t mask = table_.size() - 1;
-  std::size_t i = mix(at) & mask;
-  while (table_[i].key != at || table_[i].bucket == kNoBucket) {
-    i = (i + 1) & mask;
-  }
-  table_[i].bucket = kNoBucket;
-  --table_live_;
-  // Backward-shift deletion keeps probe chains gap-free without
-  // tombstones: walk the cluster after the hole and move back any entry
-  // whose home slot does not lie inside (i, j].
-  std::size_t j = i;
-  for (;;) {
-    j = (j + 1) & mask;
-    if (table_[j].bucket == kNoBucket) break;
-    std::size_t home = mix(table_[j].key) & mask;
-    const bool home_in_hole_to_j =
-        (j > i) ? (home > i && home <= j) : (home > i || home <= j);
-    if (!home_in_hole_to_j) {
-      table_[i] = table_[j];
-      table_[j].bucket = kNoBucket;
-      i = j;
-    }
-  }
+  heap_[i] = key;
 }
 
 void EventQueue::note_pop(SimTime at, std::uint64_t actor) {

@@ -4,37 +4,23 @@
 // scheduled for the same instant run in schedule order — this makes the
 // whole simulation deterministic, which the reproduction relies on.
 //
-// Hot-path layout: events are grouped into per-timestamp buckets held
-// in a pool; a flat 4-ary min-heap orders the *buckets* by timestamp
-// (one heap entry per distinct pending instant), and an open-addressing
-// hash maps timestamp -> live bucket so push appends in O(1). Within a
-// bucket the tie-break order is free: under kFifo the bucket is a queue
-// (events arrive in ascending sequence number, a cursor pops from the
-// front), under kReversed it is a stack (pop from the back yields
-// descending sequence, and a same-instant push lands on top — exactly
-// the event that reversed order pops next), and under kShuffled the
-// bucket is a pool (each pop swaps a seeded draw to the back and pops
-// it, yielding a deterministic-per-seed permutation of the same-instant
-// events — the schedule explorer's arbitrary-order probe). Heap sifts
-// therefore cost
-// O(log #distinct-timestamps) per *timestamp*, not per event — the win
-// that matters under bursty delivery, where one instant carries many
+// Hot-path layout: a flat 4-ary min-heap of 24-byte (at, tie, slot)
+// keys. The closures stay parked in a slot pool and never move during
+// sifts; a popped slot goes onto a free list and the next push reuses
+// it, so the pool stops growing at the high-water count of pending
 // events. Callables are EventClosure (event_closure.hpp): 64-byte
-// inline storage, heap fallback, move-only; they are moved only on
-// bucket append/pop, never during sifts.
+// inline storage, heap fallback, move-only.
 //
-// Determinism: pop order is (at, tie) with tie = seq under kFifo and
-// ~seq under kReversed, identical to a global heap over (at, tie) keys.
-// Buckets partition events by `at`; the bucket heap is keyed by `at`
-// alone and live buckets have distinct timestamps (the hash guarantees
-// one live bucket per instant), so the comparator is a strict total
-// order. The per-bucket queue/stack discipline reproduces the tie
-// order, including events pushed at the instant currently draining.
+// Determinism: pop order is (at, tie). The tie key is fixed at push
+// time: seq under kFifo, ~seq under kReversed, and under kShuffled a
+// splitmix64 finalizer of (shuffle seed ^ seq). The finalizer is a
+// bijection, so no two keys compare equal and the comparator is a
+// strict total order in every mode.
 //
 // For the audit subsystem the queue additionally supports:
-//  - a perturbed (but still deterministic) tie-break mode, used by the
-//    event-tie race detector to re-run a scenario with same-timestamp
-//    events reversed and compare per-node state digests;
+//  - perturbed (but still deterministic) tie-break modes, used by the
+//    event-tie race detector and the schedule explorer to re-run a
+//    scenario with same-timestamp events reordered;
 //  - an optional per-event actor tag (the node/host the event acts on),
 //    so the queue can record same-(timestamp, actor) tie groups — the
 //    places where tie-break order could matter at all.
@@ -80,10 +66,10 @@ class EventQueue {
   void push(SimTime at, EventFn fn, std::uint64_t actor = kNoActor);
 
   /// True when no events remain.
-  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
 
   /// Number of pending events.
-  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
   /// Timestamp of the earliest pending event. Requires !empty().
   [[nodiscard]] SimTime next_time() const;
@@ -95,17 +81,12 @@ class EventQueue {
   void clear();
 
   /// Select the tie-break policy. Must be called while the queue is
-  /// empty (changing the order of already-bucketed entries would
-  /// corrupt the per-bucket discipline).
+  /// empty (pending keys were drawn under the old policy).
   void set_tie_break(TieBreak mode);
 
-  [[nodiscard]] TieBreak tie_break() const { return mode_; }
-
-  /// Seed for kShuffled draws. Must be called while the queue is empty
-  /// (a mid-bucket seed change would re-key a half-drained permutation).
+  /// Seed for kShuffled tie keys. Must be called while the queue is
+  /// empty (pending keys were drawn under the old seed).
   void set_shuffle_seed(std::uint64_t seed);
-
-  [[nodiscard]] std::uint64_t shuffle_seed() const { return shuffle_seed_; }
 
   /// Tie-group counters accumulated so far. Flushes the group forming
   /// at the current head timestamp, so call at quiescence for exact
@@ -113,62 +94,33 @@ class EventQueue {
   TieStats tie_stats();
 
  private:
-  /// Pool slot: one pending event inside a bucket.
+  /// Pool slot: one pending event.
   struct Slot {
     std::uint64_t actor = kNoActor;
     EventClosure fn;
   };
-  /// All events pending at one instant, in arrival (= sequence) order.
-  /// kFifo pops events[head], kReversed pops events.back(); kShuffled
-  /// swaps a seeded draw to the back first (drawn counts the draws so
-  /// each pop re-keys the permutation deterministically).
-  struct Bucket {
-    SimTime at = 0;
-    std::size_t head = 0;
-    std::uint32_t drawn = 0;
-    std::vector<Slot> events;
-  };
-  /// Heap key: buckets ordered by timestamp alone (timestamps of live
-  /// buckets are distinct, so this is a strict total order).
-  struct HeapItem {
+  /// Heap key: the event's time, its tie key and its pool slot.
+  struct Key {
     SimTime at;
-    std::uint32_t bucket;
+    std::uint64_t tie;
+    std::uint32_t slot;
   };
 
-  static constexpr std::uint32_t kNoBucket = ~std::uint32_t{0};
-  /// timestamp -> bucket-pool index; bucket == kNoBucket marks an empty
-  /// table cell (linear probing, backward-shift deletion).
-  struct TableEntry {
-    SimTime key = 0;
-    std::uint32_t bucket = kNoBucket;
-  };
-
-  [[nodiscard]] static bool before(const HeapItem& a, const HeapItem& b) {
-    return a.at < b.at;
+  [[nodiscard]] static bool before(const Key& a, const Key& b) {
+    return a.at != b.at ? a.at < b.at : a.tie < b.tie;
   }
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
 
-  [[nodiscard]] bool drained(const Bucket& b) const {
-    return mode_ == TieBreak::kFifo ? b.head == b.events.size()
-                                    : b.events.empty();
-  }
-  std::uint32_t find_or_create_bucket(SimTime at);
-  void release_min_bucket();
-  void table_grow();
-  void table_erase(SimTime at);
-
   void note_pop(SimTime at, std::uint64_t actor);
   void flush_tie_group();
 
-  std::vector<HeapItem> heap_;       // flat 4-ary min-heap of buckets
-  std::vector<Bucket> buckets_;      // bucket pool
+  std::vector<Key> heap_;            // flat 4-ary min-heap
+  std::vector<Slot> slots_;          // slot pool
   std::vector<std::uint32_t> free_;  // recycled pool indices
-  std::vector<TableEntry> table_;    // open-addressing timestamp index
-  std::size_t table_live_ = 0;
-  std::size_t size_ = 0;             // pending events across all buckets
+  std::uint64_t next_seq_ = 0;
   TieBreak mode_ = TieBreak::kFifo;
-  std::uint64_t shuffle_seed_ = 0;   // keys kShuffled draws
+  std::uint64_t shuffle_seed_ = 0;   // keys kShuffled ties
   TieStats stats_;
   // Actors of events popped at the head timestamp, in pop order. The
   // flush sorts and counts runs — O(1) append per pop, and the

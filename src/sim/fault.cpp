@@ -218,7 +218,6 @@ void FaultInjector::arm(Hooks hooks) {
     const bool crash = d.kind == FaultKind::kCrash;
     const HostId target = d.a;
     const SimTime at = std::max(d.at, sim_.now());
-    last_fault_time_ = std::max(last_fault_time_, at);
     // The epoch guard turns the event into a no-op if the injector was
     // disarmed (or re-armed) before the directive's time arrives.
     sim_.schedule_at(
@@ -292,13 +291,11 @@ bool FaultInjector::on_send(HostId from, HostId to, SimTime& delay,
   }
   if (drop) {
     ++stats_.dropped;
-    last_fault_time_ = std::max(last_fault_time_, now);
     return true;  // handler destroyed with the message
   }
   if (extra_delay > 0) {
     ++stats_.delayed;
     delay += extra_delay;
-    last_fault_time_ = std::max(last_fault_time_, now + delay);
   }
   if (duplicate) {
     ++stats_.duplicated;
@@ -306,11 +303,10 @@ bool FaultInjector::on_send(HostId from, HostId to, SimTime& delay,
     // No-op arrival standing in for the duplicate payload (EventClosure
     // is move-only; see the header's modelling note).
     sim_.schedule_after(echo, [] {}, to);
-    last_fault_time_ = std::max(last_fault_time_, now + echo);
   }
   // A send to `to` releases any messages held for it: they are
-  // scheduled into the same delivery instant, so both land in one tie
-  // bucket and the tie-break policy decides the interleaving.
+  // scheduled into the same delivery instant, so the tie-break policy
+  // decides the interleaving.
   for (std::size_t i = 0; i < held_.size();) {
     if (held_[i].to == to) {
       sim_.schedule_after(delay, std::move(held_[i].fn), to);
@@ -321,7 +317,6 @@ bool FaultInjector::on_send(HostId from, HostId to, SimTime& delay,
   }
   if (reorder) {
     ++stats_.reordered;
-    last_fault_time_ = std::max(last_fault_time_, now + delay);
     held_.push_back(Held{to, std::move(handler)});
     return true;
   }

@@ -120,11 +120,6 @@ class FaultInjector {
 
   [[nodiscard]] bool armed() const { return armed_; }
 
-  /// Virtual time of the last fault the plan can inject (the recovery
-  /// phase starts after this instant). 0 for an all-message-fault plan
-  /// whose sequence numbers were never reached.
-  [[nodiscard]] SimTime last_fault_time() const { return last_fault_time_; }
-
   /// Counters for reporting/tests.
   struct Stats {
     std::uint64_t sends = 0;      ///< messages observed while armed
@@ -154,7 +149,6 @@ class FaultInjector {
   Stats stats_;
   std::vector<Held> held_;  ///< kReorder messages awaiting a release
   std::uint64_t next_seq_ = 0;
-  SimTime last_fault_time_ = 0;
   std::uint64_t armed_epoch_ = 0;  ///< invalidates scheduled churn on disarm
   bool armed_ = false;
 };

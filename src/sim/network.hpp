@@ -46,8 +46,6 @@ class Network {
   /// injector; with none installed send() behaves exactly as before.
   void set_fault_injector(FaultInjector* injector) { faults_ = injector; }
 
-  [[nodiscard]] FaultInjector* fault_injector() const { return faults_; }
-
   /// Deliver `handler` at `to` after the one-way latency from `from`.
   /// `bytes` is the modeled message size; `counter` (optional) receives
   /// the per-category accounting in addition to the global counters.

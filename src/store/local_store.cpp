@@ -58,6 +58,7 @@ void LocalStore::build(const EntryStore& entries) {
   built_ = true;
   stale_ = false;
   indexed_rows_ = n;
+  seen_writes_ = entries.writes();
   charge_ = 0;
   ++stats_.rebuilds;
   stats_.rebuilt_entries += n;
@@ -69,6 +70,11 @@ void LocalStore::build(const EntryStore& entries) {
 std::size_t LocalStore::range(const EntryStore& entries, const Region& region,
                               std::vector<std::uint32_t>& out) {
   const std::size_t n = entries.size();
+  if (entries.writes() != seen_writes_) {
+    seen_writes_ = entries.writes();
+    stale_ = built_;
+    charge_ = 0;
+  }
   // A rebuild sorts every dimension: about n * dims * ceil(log2(n + 1))
   // comparisons, charged against the rows stale probes have scanned.
   const auto rebuild_cost =
@@ -86,7 +92,7 @@ std::size_t LocalStore::range(const EntryStore& entries, const Region& region,
   }
   LMK_CHECK_MSG(n == indexed_rows_,
                 "local store probed on fresh indices over %zu rows but the "
-                "store holds %zu: a writer skipped invalidate()",
+                "rows handed in hold %zu: not the rows it indexed",
                 indexed_rows_, n);
   // No rows, or rows of zero dimensions: nothing indexed, nothing can
   // match.

@@ -11,22 +11,23 @@
 // bitmap that it reads back in entry order.
 //
 // Rebuild rule. The first build is eager: a store that was never built
-// builds on its first probe. A mutation (`invalidate`) leaves the indices
-// stale and zeroes a charge; each probe then scans the n rows linearly,
-// reports `scanned = n` and adds n to the charge. The first probe that
-// finds the charge at or above n * dims * ceil(log2(n + 1)) — the sort a
-// rebuild takes — rebuilds the indices and probes them. This is ski
-// rental between two writes: the scans since the last write are the
-// rent, the sort is the purchase, and the cost is never more than twice
-// the better of scanning throughout and rebuilding at once. A store
-// written between most probes keeps scanning instead of re-sorting on
-// every write; a store that settles goes sub-linear again after one
-// rebuild's worth of scans.
+// builds on its first probe. Each probe compares the EntryStore's write
+// count (EntryStore::writes) with the one it saw last; a write since
+// then leaves the indices stale and zeroes a charge, and each probe then
+// scans the n rows linearly, reports `scanned = n` and adds n to the
+// charge. The first probe that finds the charge at or above
+// n * dims * ceil(log2(n + 1)) — the sort a rebuild takes — rebuilds the
+// indices and probes them. This is ski rental between two writes: the
+// scans since the last write are the rent, the sort is the purchase, and
+// the cost is never more than twice the better of scanning throughout
+// and rebuilding at once. A store written between most probes keeps
+// scanning instead of re-sorting on every write; a store that settles
+// goes sub-linear again after one rebuild's worth of scans.
 //
-// Every writer must invalidate: a probe on fresh indices checks that the
-// store still holds as many rows as it indexed and aborts otherwise, so
-// a writer that changes the row count without invalidate() fails
-// loudly instead of probing rows a compaction left behind.
+// Writers need no protocol: the store sees its own writes. A probe on
+// fresh indices still checks that the rows hold as many entries as it
+// indexed and aborts otherwise, so a probe handed rows other than the
+// indexed ones fails loudly instead of reading rows that are not there.
 //
 // Determinism contract: both the scan and the indexed probe append hits
 // in ascending entry index, so results are a pure function of the rows
@@ -66,17 +67,11 @@ class LocalStore {
   /// probe-ready even for an empty store.
   void build(const EntryStore& entries);
 
-  /// The rows changed: probes scan until the scans since this call have
-  /// paid for a rebuild. A never-built store stays unbuilt.
-  void invalidate() {
-    stale_ = built_;
-    charge_ = 0;
-  }
-
   /// Append the indices of entries whose point lies in the closed region
-  /// to `out` (not cleared), in ascending entry index. Builds first when
-  /// the store was never built or the rebuild rule fires. Returns the
-  /// number of entries scanned.
+  /// to `out` (not cleared), in ascending entry index. A write since the
+  /// last build or probe makes the indices stale (a never-built store
+  /// stays unbuilt). Builds first when the store was never built or the
+  /// rebuild rule fires. Returns the number of entries scanned.
   std::size_t range(const EntryStore& entries, const Region& region,
                     std::vector<std::uint32_t>& out);
 
@@ -100,7 +95,8 @@ class LocalStore {
   std::vector<std::uint64_t> hits_;
   LocalStoreBuildStats stats_;
   std::size_t indexed_rows_ = 0;  ///< entries.size() at the last build
-  std::uint64_t charge_ = 0;  ///< entries scanned since the last invalidate
+  std::uint64_t seen_writes_ = 0;  ///< entries.writes() at the last look
+  std::uint64_t charge_ = 0;  ///< entries scanned since the last write
   bool built_ = false;
   bool stale_ = false;
 };

@@ -117,9 +117,9 @@ struct DispatchStorm {
 
 TEST(AllocGuard, EngineSteadyStateDispatchAllocatesNothing) {
   // The zero steady-state allocation contract of the event engine
-  // (DESIGN.md "Allocation discipline"): once the bucket, heap and
-  // closure pools have reached their high-water capacity, dispatching
-  // routine closures never touches the allocator.
+  // (DESIGN.md "Allocation discipline"): once the slot pool, its free
+  // list and the key heap have reached their high-water capacity,
+  // dispatching routine closures never touches the allocator.
   constexpr std::uint64_t kEvents = 1000000;
   DispatchStorm storm(kEvents, /*chains=*/4096);
   storm.sim.run(kEvents / 4);  // warmup: the pools grow here

@@ -208,8 +208,8 @@ TEST(Replication, RepairThatEmptiesAProbedStoreKeepsQueriesExact) {
   // copies of its predecessor's entries. Probe it, so its local store is
   // built over those copies; then put a node between the two and
   // repair. The copies move to the new node and nothing refills the
-  // probed store, so only repair's invalidate() keeps its next probe off
-  // the index of rows that are gone.
+  // probed store, so only the write count of repair's clear() keeps its
+  // next probe off the index of rows that are gone.
   Stack s(24, 14, /*replication=*/2);
   auto scheme = s.platform->register_scheme(
       "emptied", uniform_boundary(1, 0, 1), false);

@@ -547,6 +547,36 @@ TEST(EventQueue, ShuffledSeedsAreDeterministicAndDistinct) {
   }
 }
 
+// kShuffled draws each tie key at push time, so an event pushed at the
+// instant being drained joins the remaining group and may pop next —
+// the schedule explorer relies on such a zero-delay event not always
+// running after its same-instant peers.
+TEST(EventQueue, ShuffledSameInstantPushStaysEligible) {
+  int first = 0;
+  int last = 0;
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    EventQueue q;
+    q.set_tie_break(TieBreak::kShuffled);
+    q.set_shuffle_seed(seed);
+    std::vector<int> fired;
+    for (int i = 0; i < 8; ++i) {
+      q.push(5, [&fired, i] { fired.push_back(i); });
+    }
+    q.pop(nullptr)();
+    q.push(5, [&fired] { fired.push_back(-1); });  // X
+    while (!q.empty()) {
+      SimTime at = 0;
+      q.pop(&at)();
+      EXPECT_EQ(at, 5);
+    }
+    ASSERT_EQ(fired.size(), 9u);
+    first += fired[1] == -1;
+    last += fired.back() == -1;
+  }
+  EXPECT_GT(first, 0);   // X pops right after the push in some runs
+  EXPECT_LT(last, 64);   // and not always last
+}
+
 TEST(EventQueueDeathTest, SetTieBreakRequiresEmptyQueue) {
   EventQueue q;
   q.push(1, [] {});

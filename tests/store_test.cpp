@@ -1,9 +1,11 @@
 // LocalStore: brute-force conformance in all three states a store can be
 // probed in (fresh build, stale scanning, amortized rebuild), exactness
 // over random mutation traces with probes between mutations, the probe
-// on which the deferred rebuild fires, the abort when a write skipped
-// invalidate(), ascending hit order, agreement with the nested order
-// index the flat one replaced, and the platform's build accounting.
+// on which the deferred rebuild fires, that every EntryStore mutator is
+// seen by the next probe, the abort when a probe is handed rows other
+// than the indexed ones, ascending hit order, agreement with the nested
+// order index the flat one replaced, and the platform's build
+// accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -70,6 +72,8 @@ const char* state_name(State s) {
 // A store over `rows` in `state`. The stale and rebuilt stores were built
 // before the last row arrived — a node that took a write after its first
 // probe — so a probe that trusted the old indices would miss that row.
+// `before` counts one write more than `rows` (its pop_back), so the
+// first probe of `rows` sees a write since the build.
 std::unique_ptr<LocalStore> store_in(State state, const EntryStore& rows) {
   auto ls = std::make_unique<LocalStore>();
   if (state == State::kFresh) {
@@ -79,7 +83,6 @@ std::unique_ptr<LocalStore> store_in(State state, const EntryStore& rows) {
   EntryStore before = rows;
   before.pop_back();
   ls->build(before);
-  ls->invalidate();
   if (state == State::kRebuilt) {
     // Probe until the rule fires; every probe before it scans all rows.
     const Region all = unit_region(rows.dims());
@@ -149,8 +152,8 @@ TEST(LocalStoreConformance, EmptyAndTinyStores) {
   EXPECT_EQ(ls.range(empty, all, out), 0u);
   EXPECT_TRUE(out.empty());
 
-  // The one row arrives after the build: the stale probe scans it.
-  ls.invalidate();
+  // The one row arrives after the build (`one` counts a write `empty`
+  // does not): the stale probe scans it.
   EXPECT_EQ(ls.range(one, all, out), 1u);
   EXPECT_EQ(out, std::vector<std::uint32_t>{0});
 
@@ -198,8 +201,9 @@ TEST(LocalStoreConformance, HitsAppendInAscendingEntryIndexInEveryState) {
 TEST(LocalStoreRebuildRule, FirstBuildIsEager) {
   Rng rng(15);
   const EntryStore rows = random_store(rng, 200, 3);
+  // The rows were written before the first probe; a never-built store
+  // stays unbuilt until that probe builds it.
   LocalStore ls;
-  ls.invalidate();  // nothing to invalidate yet: still never built
   std::vector<std::uint32_t> out;
   const std::size_t scanned =
       ls.range(rows, random_region(rng, 3, 0.2), out);
@@ -214,7 +218,6 @@ TEST(LocalStoreRebuildRule, FiresOnTheProbeWhoseChargeCoversTheSort) {
   LocalStore ls;
   ls.build(rows);
   rows.push_back(1000, 1000, IndexPoint{0.5, 0.5, 0.5});
-  ls.invalidate();
   // n = 101 rows, 3 dims, ceil(log2(102)) = 7: the rebuild costs
   // 101 * 3 * 7 = 2121. Each stale probe charges 101, so probes 1-21
   // scan and probe 22 — the first to find a charge of 2121 — rebuilds.
@@ -242,7 +245,6 @@ TEST(LocalStoreRebuildRule, AWriteRestartsTheCharge) {
   LocalStore ls;
   ls.build(rows);
   rows.push_back(1000, 1000, IndexPoint{0.5, 0.5, 0.5});
-  ls.invalidate();
   const Region narrow = random_region(rng, 3, 0.1);
   std::vector<std::uint32_t> out;
   for (int probe = 1; probe <= 20; ++probe) ls.range(rows, narrow, out);
@@ -250,7 +252,6 @@ TEST(LocalStoreRebuildRule, AWriteRestartsTheCharge) {
   // writes them off. With 102 rows the rebuild costs 102 * 3 * 7 = 2142,
   // so 21 more probes scan and the 22nd rebuilds.
   rows.push_back(1001, 1001, IndexPoint{0.4, 0.4, 0.4});
-  ls.invalidate();
   for (int probe = 1; probe <= 21; ++probe) {
     EXPECT_EQ(ls.range(rows, narrow, out), rows.size()) << "probe " << probe;
   }
@@ -259,15 +260,98 @@ TEST(LocalStoreRebuildRule, AWriteRestartsTheCharge) {
   EXPECT_EQ(ls.stats().rebuilds, 2u);
 }
 
-TEST(LocalStoreDeathTest, FreshProbeAfterAnUninvalidatedWriteAborts) {
-  Rng rng(18);
+TEST(LocalStoreRebuildRule, SameSizeRewriteIsSeen) {
+  // A write that keeps the row count: one row out, another in, and a
+  // probe with no other call in between.
+  Rng rng(19);
   EntryStore rows = random_store(rng, 100, 3);
   LocalStore ls;
   ls.build(rows);
-  rows.push_back(1000, 1000, IndexPoint{0.5, 0.5, 0.5});  // no invalidate()
+  rows.erase_at(17);
+  rows.push_back(1000, 1000, IndexPoint{0.5, 0.5, 0.5});
+  const Region all = unit_region(3);
   std::vector<std::uint32_t> out;
-  EXPECT_DEATH(ls.range(rows, unit_region(3), out),
-               "fresh indices over 100 rows but the store holds 101");
+  EXPECT_EQ(ls.range(rows, all, out), rows.size());
+  EXPECT_EQ(out, brute_range(rows, all));
+}
+
+// Every public mutator counts a write on each store it touches, even
+// when it moves no row: a LocalStore built before the call scans every
+// row (and matches brute force) on its next probe.
+TEST(LocalStoreRebuildRule, EveryMutatorIsSeen) {
+  struct Case {
+    const char* name;
+    std::size_t a_rows;
+    std::size_t b_rows;
+    bool touches_b;
+    void (*apply)(EntryStore& a, EntryStore& b);
+  };
+  static const IndexPoint kMid{0.5, 0.5, 0.5};
+  const Case cases[] = {
+      {"push_back", 40, 0, false,
+       [](EntryStore& a, EntryStore&) { a.push_back(1000, 1000, kMid); }},
+      {"pop_back", 40, 0, false,
+       [](EntryStore& a, EntryStore&) { a.pop_back(); }},
+      {"erase_at", 40, 0, false,
+       [](EntryStore& a, EntryStore&) { a.erase_at(5); }},
+      {"erase_first", 40, 0, false,
+       [](EntryStore& a, EntryStore&) {
+         EXPECT_TRUE(a.erase_first(a.object(5), a.key(5)));
+       }},
+      {"set_key", 40, 0, false,
+       [](EntryStore& a, EntryStore&) { a.set_key(5, 1); }},
+      {"clear", 40, 0, false, [](EntryStore& a, EntryStore&) { a.clear(); }},
+      {"append", 40, 30, false,
+       [](EntryStore& a, EntryStore& b) { a.append(b); }},
+      {"append_moved", 40, 30, true,
+       [](EntryStore& a, EntryStore& b) { a.append_moved(b); }},
+      {"append_moved from an empty store", 40, 0, true,
+       [](EntryStore& a, EntryStore& b) { a.append_moved(b); }},
+      {"extract_if", 40, 30, true,
+       [](EntryStore& a, EntryStore& b) {
+         a.extract_if([](Id k) { return k % 2 == 0; }, b);
+       }},
+      {"extract_if moving nothing", 40, 30, true,
+       [](EntryStore& a, EntryStore& b) {
+         a.extract_if([](Id) { return false; }, b);
+       }},
+  };
+  // Narrow enough that a probe on fresh indices walks fewer rows.
+  const Region box{std::vector<Interval>(3, Interval{0.2, 0.6})};
+  for (const Case& c : cases) {
+    Rng rng(20);
+    EntryStore a = random_store(rng, c.a_rows, 3);
+    EntryStore b = random_store(rng, c.b_rows, 3);
+    LocalStore la;
+    LocalStore lb;
+    la.build(a);
+    lb.build(b);
+    c.apply(a, b);
+    std::vector<std::pair<const EntryStore*, LocalStore*>> probed{{&a, &la}};
+    if (c.touches_b) probed.emplace_back(&b, &lb);
+    for (auto [rows, ls] : probed) {
+      std::vector<std::uint32_t> out;
+      EXPECT_EQ(ls->range(*rows, box, out), rows->size()) << c.name;
+      EXPECT_EQ(out, brute_range(*rows, box)) << c.name;
+    }
+  }
+}
+
+TEST(LocalStoreDeathTest, FreshProbeAfterAnUninvalidatedWriteAborts) {
+  // The write count cannot tell two EntryStores apart: a probe handed
+  // other rows that happen to count as many writes trusts the indices,
+  // and the row-count check stops it.
+  Rng rng(18);
+  const EntryStore rows = random_store(rng, 100, 3);  // 100 writes
+  EntryStore other = random_store(rng, 98, 3);
+  other.push_back(1000, 1000, IndexPoint{0.5, 0.5, 0.5});
+  other.pop_back();  // 100 writes, 98 rows
+  ASSERT_EQ(other.writes(), rows.writes());
+  LocalStore ls;
+  ls.build(rows);
+  std::vector<std::uint32_t> out;
+  EXPECT_DEATH(ls.range(other, unit_region(3), out),
+               "fresh indices over 100 rows but the rows handed in hold 98");
 }
 
 // ---------------------------------------------------------------------
@@ -305,7 +389,6 @@ TEST(LocalStoreProperty, ExactUnderRandomMutationTraces) {
       store.extract_if([split](Id k) { return k < split; }, migrated);
       if (rng.uniform() < 0.5) store.append_moved(migrated);
     }
-    ls.invalidate();
     const int probes = 1 + static_cast<int>(rng.below(40));
     for (int q = 0; q < probes; ++q) {
       const Region r = random_region(rng, 3, 0.25 + 0.5 * rng.uniform());

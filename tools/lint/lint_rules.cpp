@@ -209,8 +209,8 @@ struct Suppressions {
 
 /// Receiver variable of a member call at `tok_pos` (the position of the
 /// method name): the identifier before the `.` / `->`, looking through
-/// one trailing `[...]` / `(...)` group (`buckets_[b].events.x` yields
-/// "events"; `table_[k].x` yields "table_"). Empty when there is none.
+/// one trailing `[...]` / `(...)` group (`stores_[n].entries.x` yields
+/// "entries"; `table_[k].x` yields "table_"). Empty when there is none.
 [[nodiscard]] std::string_view member_receiver(std::string_view s,
                                                std::size_t tok_pos) {
   std::size_t i = tok_pos;
