@@ -73,8 +73,18 @@ void BM_QuerySplit(benchmark::State& state) {
   for (int d = 0; d < 5; ++d) r.ranges.push_back(Interval{400, 600});
   RangeQuery q;
   make_query(scheme, 1, 0, r, IndexPoint(5, 500.0), &q);
+  const Prefix parent = q.prefix;
+  // The router's path: plan, then split consuming the parent. The lower
+  // child holds the parent's region afterwards; undoing its narrowing
+  // makes it the next iteration's parent.
   for (auto _ : state) {
-    benchmark::DoNotOptimize(query_split(q, q.prefix.length + 1));
+    QuerySplitPlan plan = plan_query_split(q, parent.length + 1);
+    const double hi = q.region.ranges[static_cast<std::size_t>(plan.dim)].hi;
+    auto [upper, lower] = split_query(std::move(q), plan);
+    benchmark::DoNotOptimize(upper.region.ranges.data());
+    q = std::move(lower);
+    q.prefix = parent;
+    q.region.ranges[static_cast<std::size_t>(plan.dim)].hi = hi;
   }
 }
 BENCHMARK(BM_QuerySplit);

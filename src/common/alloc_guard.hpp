@@ -18,7 +18,9 @@
 // did. tests/alloc_guard_test.cpp's
 // AllocGuard.EngineSteadyStateDispatchAllocatesNothing runs an event
 // storm in the alloc-guard build and requires zero steady-state
-// allocations.
+// allocations; AllocGuard.TreeRoutingAllocatesOneBlockPerSplitAndPerMessage
+// requires tree routing to allocate exactly one block per split and one
+// per query message.
 //
 // Without the CMake option everything here compiles to no-ops:
 // alloc_guard_enabled() is false and counters stay zero.

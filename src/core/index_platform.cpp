@@ -1,6 +1,7 @@
 #include "core/index_platform.hpp"
 
 #include <algorithm>
+#include <unordered_set>
 #include <utility>
 #ifdef LMK_SCHED_MUTATION
 #include <map>
@@ -275,9 +276,12 @@ void IndexPlatform::on_fanout(std::uint64_t qid, int delta) {
   auto it = active_.find(qid);
   LMK_CHECK(it != active_.end());
   it->second.outstanding += delta;
-  if (delta < 0) it->second.outcome.lost_subqueries += -delta;
   LMK_CHECK(it->second.outstanding >= 0);
-  maybe_complete(qid);
+  // A split leaves the query outstanding; only a loss can finish it.
+  if (delta < 0) {
+    it->second.outcome.lost_subqueries += -delta;
+    maybe_complete(qid);
+  }
 }
 
 void IndexPlatform::on_sent(std::uint64_t qid, std::uint64_t bytes) {
@@ -346,7 +350,7 @@ void IndexPlatform::on_solve(std::span<const RangeQuery> pieces,
     }
     std::uint64_t object = ss.entries.object(ei);
     double score =
-        aq.rank ? aq.rank(object) : index_lower_bound(pt, first.focus);
+        aq.rank ? aq.rank(object) : index_lower_bound(pt, *first.focus);
     reply.scored.emplace_back(score, object);
     ++evaluated;
   }
@@ -430,13 +434,12 @@ void IndexPlatform::flush_reply(std::uint64_t qid, ChordNode& node) {
                        a.outcome.response_time = now - a.t0;
                      }
                      a.outcome.max_latency = now - a.t0;
+                     // Repeats are dropped at completion.
                      for (const auto& [score, id] : shipped) {
-                       if (a.seen.insert(id).second) {
-                         // Per-query result accumulation, freed with
-                         // the query — not engine steady state.
-                         // lmk-lint: allow(hot-alloc) per-query result set
-                         a.outcome.results.push_back(id);
-                       }
+                       // Per-query result accumulation, freed with the
+                       // query — not engine steady state.
+                       // lmk-lint: allow(hot-alloc) per-query result list
+                       a.outcome.results.push_back(id);
                      }
                      a.replies_pending -= 1;
                      maybe_complete(qid);
@@ -451,6 +454,23 @@ void IndexPlatform::maybe_complete(std::uint64_t qid) {
   ActiveQuery& aq = it->second;
   if (aq.outstanding != 0 || aq.replies_pending != 0) return;
   QueryOutcome outcome = std::move(aq.outcome);
+  // Sorted (id, arrival) pairs put each id's first arrival first in its
+  // run; keep those, back in arrival order.
+  std::vector<std::uint64_t>& ids = outcome.results;
+  merge_.clear();
+  for (std::size_t i = 0; i < ids.size(); ++i) merge_.emplace_back(ids[i], i);
+  std::sort(merge_.begin(), merge_.end());
+  merge_.erase(std::unique(merge_.begin(), merge_.end(),
+                           [](const auto& a, const auto& b) {
+                             return a.first == b.first;
+                           }),
+               merge_.end());
+  if (merge_.size() < ids.size()) {
+    std::sort(merge_.begin(), merge_.end(),
+              [](const auto& a, const auto& b) { return a.second < b.second; });
+    ids.resize(merge_.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = merge_[i].first;
+  }
   outcome.complete = true;
   QueryCallback done = std::move(aq.done);
   active_.erase(it);

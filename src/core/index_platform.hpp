@@ -21,7 +21,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "balance/migration.hpp"
@@ -302,7 +302,10 @@ class IndexPlatform {
     bool flush_scheduled = false;
   };
   /// Everything the platform knows about one in-flight query; erased
-  /// when the query completes.
+  /// when the query completes. Replies append every id they ship to
+  /// `outcome.results`; an id two nodes both report (a replica, or an
+  /// entry on a split plane) is dropped at completion, keeping its
+  /// first arrival.
   struct ActiveQuery {
     std::uint32_t scheme = 0;
     HostId origin = 0;
@@ -318,7 +321,6 @@ class IndexPlatform {
     // only aggregate read, so no code path iterates it.
     // lmk-lint: allow(pointer-key-unordered) lookup-only per-node records
     std::unordered_map<const ChordNode*, NodeReply> nodes;
-    std::unordered_set<std::uint64_t> seen;
   };
 
   [[nodiscard]] std::vector<ChordNode*> replica_nodes(Id key) const;
@@ -339,6 +341,9 @@ class IndexPlatform {
   void flush_reply(std::uint64_t qid, ChordNode& node);
   void on_fanout(std::uint64_t qid, int delta);
   void on_sent(std::uint64_t qid, std::uint64_t bytes);
+  /// Completes the query once nothing is outstanding: drops repeated
+  /// ids from its results (first arrivals stay, in arrival order) and
+  /// calls its callback.
   void maybe_complete(std::uint64_t qid);
 
   Ring& ring_;
@@ -350,6 +355,8 @@ class IndexPlatform {
   /// suffices — solves never nest.
   Region solve_box_;
   std::vector<std::uint32_t> solve_hits_;
+  /// maybe_complete scratch: (id, arrival position) per result.
+  std::vector<std::pair<std::uint64_t, std::size_t>> merge_;
   // Lookup-only store map: every cross-node walk goes through ring
   // order (Ring::nodes), not this map.
   // lmk-lint: allow(pointer-key-unordered)

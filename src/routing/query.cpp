@@ -14,7 +14,7 @@ void make_query(const SchemeRouting& scheme, std::uint64_t qid, HostId origin,
   out->origin = origin;
   out->prefix = enclosing_prefix(region, scheme.boundary);
   out->region = std::move(region);
-  out->focus = std::move(focus);
+  out->focus = std::make_shared<const IndexPoint>(std::move(focus));
   out->hops = 0;
 }
 
@@ -51,7 +51,7 @@ std::pair<RangeQuery, RangeQuery> split_query(RangeQuery q,
                                               const QuerySplitPlan& plan) {
   LMK_CHECK(plan.children == 2);
   const auto dim = static_cast<std::size_t>(plan.dim);
-  RangeQuery upper = q;  // the one unavoidable region/focus copy
+  RangeQuery upper = q;  // the one region copy; the focus is shared
   upper.prefix.key = plan.upper_key;
   upper.prefix.length = plan.p;
   upper.region.ranges[dim].lo = plan.mid;
@@ -59,21 +59,6 @@ std::pair<RangeQuery, RangeQuery> split_query(RangeQuery q,
   lower.prefix.length = plan.p;
   lower.region.ranges[dim].hi = plan.mid;
   return {std::move(upper), std::move(lower)};
-}
-
-std::vector<RangeQuery> query_split(const RangeQuery& q, int p) {
-  QuerySplitPlan plan = plan_query_split(q, p);
-  std::vector<RangeQuery> out;
-  if (plan.children == 1) {
-    RangeQuery nq = q;
-    descend_query(nq, plan);
-    out.push_back(std::move(nq));
-  } else {
-    auto [upper, lower] = split_query(q, plan);
-    out.push_back(std::move(upper));
-    out.push_back(std::move(lower));
-  }
-  return out;
 }
 
 }  // namespace lmk

@@ -13,8 +13,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <utility>
-#include <vector>
 
 #include "lph/lph.hpp"
 #include "net/latency_model.hpp"
@@ -55,8 +55,9 @@ struct RangeQuery {
   Prefix prefix;               ///< enclosing-cuboid code + valid length
   int hops = 0;                ///< network hops taken so far
   /// The query's index point (unclamped) — index nodes rank their local
-  /// candidates by L∞ distance to it when answering in top-k mode.
-  IndexPoint focus;
+  /// candidates by L∞ distance to it when answering in top-k mode. A
+  /// split never changes it, so every subquery of one query shares it.
+  std::shared_ptr<const IndexPoint> focus;
 
   /// Chord key this subquery routes toward: prefix key rotated by φ.
   [[nodiscard]] Id routing_key() const {
@@ -65,14 +66,15 @@ struct RangeQuery {
 };
 
 /// Build the initial query for a region: clamp to the boundary (regions
-/// outside it snap to the edge, where out-of-boundary entries live) and
-/// compute the enclosing prefix.
+/// outside it snap to the edge, where out-of-boundary entries live),
+/// compute the enclosing prefix, and take the focus into the one block
+/// the query's subqueries share.
 void make_query(const SchemeRouting& scheme, std::uint64_t qid, HostId origin,
                 Region region, IndexPoint focus, RangeQuery* out);
 
 /// Split decision for query q at division p, computed without touching
-/// the query's region or focus storage: the child count, the split
-/// plane, and both children's prefix keys. The keys make the children
+/// the query's region storage: the child count, the split plane, and
+/// both children's prefix keys. The keys make the children
 /// routable (routing_key = key + rotation) before — or without —
 /// materializing them, so the router's descend and shared-next-hop
 /// cases move the original query along instead of copying it.
@@ -90,21 +92,15 @@ struct QuerySplitPlan {
 /// p == q.prefix.length + 1 in normal use).
 [[nodiscard]] QuerySplitPlan plan_query_split(const RangeQuery& q, int p);
 
-/// Apply a one-child plan in place: the prefix descends, the region and
-/// focus are untouched (zero allocation).
+/// Apply a one-child plan in place: the prefix descends, the region is
+/// untouched (zero allocation).
 void descend_query(RangeQuery& q, const QuerySplitPlan& plan);
 
 /// Materialize a two-child plan, consuming q: the lower child steals
-/// q's region and focus storage, only the upper child copies them.
-/// Returned upper-first, as in the paper's listing.
+/// q's region storage, the upper child copies the region (the split's
+/// one allocation), and both share q's focus. Returned upper-first, as
+/// in the paper's listing.
 [[nodiscard]] std::pair<RangeQuery, RangeQuery> split_query(
     RangeQuery q, const QuerySplitPlan& plan);
-
-/// Algorithm 4 (QuerySplit) convenience form: returns one subquery when
-/// the region lies entirely in one half (prefix descends, region kept),
-/// or two (upper first, as in the paper) when it straddles the plane.
-/// The routers use the plan/descend/split primitives above to avoid the
-/// copies; this wrapper serves tests and the naive client-side splitter.
-[[nodiscard]] std::vector<RangeQuery> query_split(const RangeQuery& q, int p);
 
 }  // namespace lmk

@@ -33,6 +33,11 @@ QueryRouter::QueryRouter(Ring& ring, PieceFn solve, FanoutFn fanout,
     : QueryRouter(ring, each_piece(std::move(solve)), std::move(fanout),
                   std::move(sent)) {}
 
+// lmk-hot-path: every routing step of every query runs from here to
+// the end of surrogate_refine. A split's upper region and a message's
+// batch are the only allocations meant to remain (the alloc-guard
+// build's AllocGuard.TreeRoutingAllocatesOneBlockPerSplitAndPerMessage
+// counts them); lmk-lint's hot-alloc rule checks the sites.
 template <typename Fn>
 void QueryRouter::episode(ChordNode& at, Fn&& work) {
   if (in_episode_) {
@@ -61,33 +66,41 @@ void QueryRouter::start(ChordNode& origin_node, RangeQuery q) {
 
 void QueryRouter::solve_local(RangeQuery q) {
   LMK_CHECK(in_episode_);
+  // Cleared, not shrunk, after each episode's solve.
+  // lmk-lint: allow(hot-alloc) capacity warmup, amortizes to zero
   local_.push_back(std::move(q));
 }
 
 void QueryRouter::enqueue(NodeRef to, RangeQuery q, bool to_surrogate) {
   LMK_CHECK(to.node != nullptr);
   LMK_CHECK(in_episode_);
+  // Cleared, not shrunk, after each episode's flush.
+  // lmk-lint: allow(hot-alloc) capacity warmup, amortizes to zero
   outbox_.emplace_back(to, Parcel{std::move(q), to_surrogate});
 }
 
 void QueryRouter::flush(ChordNode& from) {
   LMK_CHECK(!in_episode_);
   // Group parcels by target node; one message per target, sized by the
-  // paper's model for n subqueries. Grouping preserves enqueue order.
-  std::vector<std::pair<NodeRef, Parcel>> box = std::move(outbox_);
-  outbox_.clear();
-  while (!box.empty()) {
-    ChordNode* target = box.front().first.node;
-    std::vector<Parcel> batch;
-    std::vector<std::pair<NodeRef, Parcel>> rest;
-    for (auto& [to, parcel] : box) {
-      if (to.node == target) {
-        batch.push_back(std::move(parcel));
-      } else {
-        rest.emplace_back(to, std::move(parcel));
-      }
+  // paper's model for n subqueries. Targets ship in first-appearance
+  // order and each batch keeps enqueue order. The outbox is grouped in
+  // place and keeps its capacity, so a message's batch is the flush's
+  // one allocation. Nothing here delivers inline (sends are always
+  // scheduled), so no episode can enqueue while the outbox is walked.
+  for (std::size_t i = 0; i < outbox_.size(); ++i) {
+    ChordNode* target = outbox_[i].first.node;
+    if (target == nullptr) continue;  // taken by an earlier batch
+    std::size_t n = 0;
+    for (std::size_t j = i; j < outbox_.size(); ++j) {
+      n += outbox_[j].first.node == target ? 1 : 0;
     }
-    box = std::move(rest);
+    std::vector<Parcel> batch;
+    batch.reserve(n);
+    for (std::size_t j = i; j < outbox_.size(); ++j) {
+      if (outbox_[j].first.node != target) continue;
+      batch.push_back(std::move(outbox_[j].second));
+      outbox_[j].first.node = nullptr;  // mark the slot taken
+    }
 
     // An episode handles one incoming message (or one injection), so
     // every parcel in the batch belongs to one query, which pays for
@@ -130,6 +143,7 @@ void QueryRouter::flush(ChordNode& from) {
         },
         &traffic_);
   }
+  outbox_.clear();
 }
 
 void QueryRouter::process(ChordNode& at, Parcel parcel) {
@@ -237,5 +251,6 @@ void QueryRouter::surrogate_refine(ChordNode& me, RangeQuery q) {
     }
   }
 }
+// lmk-hot-path-end
 
 }  // namespace lmk

@@ -31,6 +31,14 @@
 // with one store probe (on balanced-range a refinement solves ~6 pieces
 // per message at the same node).
 //
+// Allocation: a split allocates one block, the upper child's region
+// (the lower child takes the parent's, and all subqueries of a query
+// share its focus). The flush groups the reused outbox in place, so a
+// message allocates one block too, the parcel batch its delivery
+// closure owns. Nothing else on the routing path allocates once the
+// outbox, the solve list and the event engine have reached their
+// high-water capacity.
+//
 // Rotation (§3.4) is handled by routing on key + φ and comparing
 // prefixes against the node's *virtual* identifier id − φ, which maps
 // the rotated ring back onto the unrotated k-d prefix tree.
@@ -102,7 +110,8 @@ class QueryRouter {
 
   /// Run `work` as one message-processing episode at `at`: the pieces
   /// solved locally go to the solver in one call, then all enqueued
-  /// parcels are grouped by target and flushed as one message each.
+  /// parcels are grouped by target and flushed as one message each
+  /// (grouped in place: the outbox keeps its capacity).
   template <typename Fn>
   void episode(ChordNode& at, Fn&& work);
   void flush(ChordNode& from);
@@ -115,6 +124,7 @@ class QueryRouter {
 
   bool in_episode_ = false;
   std::vector<RangeQuery> local_;  ///< this episode's solved pieces
+  /// This episode's parcels; flush marks a taken slot's node null.
   std::vector<std::pair<NodeRef, Parcel>> outbox_;
 };
 

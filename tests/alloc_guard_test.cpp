@@ -7,10 +7,17 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
+#include "balance/rotation.hpp"
+#include "chord/ring.hpp"
 #include "common/alloc_guard.hpp"
+#include "common/rng.hpp"
+#include "landmark/mapper.hpp"
+#include "net/latency_model.hpp"
+#include "routing/router.hpp"
 #include "sim/simulator.hpp"
 
 namespace lmk {
@@ -129,6 +136,86 @@ TEST(AllocGuard, EngineSteadyStateDispatchAllocatesNothing) {
   EXPECT_EQ(steady.allocs, 0u);
   EXPECT_EQ(steady.frees, 0u);
   EXPECT_EQ(storm.remaining, 0u);
+}
+
+TEST(AllocGuard, TreeRoutingAllocatesOneBlockPerSplitAndPerMessage) {
+  // The routing contract (DESIGN.md "Allocation discipline"): a split
+  // allocates the upper child's region, a message allocates the parcel
+  // batch its delivery owns, and nothing else on the tree-routing path
+  // allocates once its buffers and the engine have warmed up.
+  constexpr std::size_t kNodes = 64;
+  constexpr std::size_t kDims = 10;
+  constexpr std::size_t kQueries = 200;
+  Simulator sim;
+  ConstantLatencyModel topo(kNodes, 15 * kMillisecond);
+  Network net(sim, topo);
+  Ring::Options ropts;
+  ropts.seed = 5;
+  Ring ring(net, ropts);
+  for (HostId h = 0; h < kNodes; ++h) ring.create_node(h);
+  ring.bootstrap();
+  SchemeRouting scheme;
+  scheme.boundary = uniform_boundary(kDims, 0, 1);
+  scheme.rotation = rotation_offset("alloc-guard-routing");
+  scheme.query_message_bytes = query_message_size(kDims);
+
+  std::uint64_t splits = 0;
+  std::uint64_t messages = 0;
+  std::int64_t outstanding = 0;
+  QueryRouter router(
+      ring,
+      [&](std::span<const RangeQuery> solved, ChordNode&) {
+        outstanding -= static_cast<std::int64_t>(solved.size());
+      },
+      [&](std::uint64_t, int delta) {
+        outstanding += delta;
+        if (delta > 0) splits += static_cast<std::uint64_t>(delta);
+      },
+      [&](std::uint64_t, std::uint64_t) { ++messages; });
+
+  // Fixed regions and origins, so both passes route the same work.
+  Rng rng(23);
+  std::vector<Region> regions(kQueries);
+  std::vector<ChordNode*> origins(kQueries);
+  const std::vector<ChordNode*> nodes = ring.alive_nodes();
+  for (std::size_t i = 0; i < kQueries; ++i) {
+    for (std::size_t d = 0; d < kDims; ++d) {
+      const double lo = rng.uniform(0.0, 0.6);
+      regions[i].ranges.push_back(Interval{lo, lo + rng.uniform(0.0, 0.4)});
+    }
+    origins[i] = nodes[rng.below(nodes.size())];
+  }
+  auto build = [&] {
+    std::vector<RangeQuery> queries(kQueries);
+    for (std::size_t i = 0; i < kQueries; ++i) {
+      make_query(scheme, i + 1, origins[i]->host(), regions[i],
+                 IndexPoint(kDims, 0.5), &queries[i]);
+    }
+    return queries;
+  };
+  auto route_all = [&](std::vector<RangeQuery>& queries) {
+    for (std::size_t i = 0; i < kQueries; ++i) {
+      outstanding += 1;
+      router.start(*origins[i], std::move(queries[i]));
+      sim.run();
+    }
+  };
+
+  // Warm-up pass: the outbox, the solve list and the engine's pools
+  // reach their high-water capacity here.
+  std::vector<RangeQuery> warm = build();
+  route_all(warm);
+  ASSERT_EQ(outstanding, 0);
+
+  std::vector<RangeQuery> queries = build();
+  splits = messages = 0;
+  AllocPhaseScope phase("tree-routing");
+  route_all(queries);
+  const AllocCounters d = phase.delta();
+  ASSERT_EQ(outstanding, 0);
+  ASSERT_GT(splits, kQueries);  // the workload really fans out
+  EXPECT_EQ(d.allocs, splits + messages)
+      << splits << " splits, " << messages << " messages";
 }
 
 #else  // !LMK_ALLOC_GUARD

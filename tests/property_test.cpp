@@ -182,20 +182,21 @@ TEST(Property, QuerySplitPartitionsRegionExactly) {
     Region r = random_region(sch.boundary, rng);
     make_query(sch, 1, 0, r, IndexPoint(3, 0.0), &q);
     if (q.prefix.length == kIdBits) continue;
-    auto subs = query_split(q, q.prefix.length + 1);
-    if (subs.size() != 2) continue;
+    QuerySplitPlan plan = plan_query_split(q, q.prefix.length + 1);
+    if (plan.children != 2) continue;
+    auto [upper, lower] = split_query(q, plan);
     int dim = -1;
     double mid =
         split_plane(q.prefix.key, q.prefix.length + 1, sch.boundary, &dim);
     auto sd = static_cast<std::size_t>(dim);
-    EXPECT_DOUBLE_EQ(subs[0].region.ranges[sd].lo, mid);
-    EXPECT_DOUBLE_EQ(subs[1].region.ranges[sd].hi, mid);
-    EXPECT_DOUBLE_EQ(subs[0].region.ranges[sd].hi, q.region.ranges[sd].hi);
-    EXPECT_DOUBLE_EQ(subs[1].region.ranges[sd].lo, q.region.ranges[sd].lo);
+    EXPECT_DOUBLE_EQ(upper.region.ranges[sd].lo, mid);
+    EXPECT_DOUBLE_EQ(lower.region.ranges[sd].hi, mid);
+    EXPECT_DOUBLE_EQ(upper.region.ranges[sd].hi, q.region.ranges[sd].hi);
+    EXPECT_DOUBLE_EQ(lower.region.ranges[sd].lo, q.region.ranges[sd].lo);
     for (std::size_t d = 0; d < 3; ++d) {
       if (d == sd) continue;
-      EXPECT_DOUBLE_EQ(subs[0].region.ranges[d].lo, q.region.ranges[d].lo);
-      EXPECT_DOUBLE_EQ(subs[1].region.ranges[d].hi, q.region.ranges[d].hi);
+      EXPECT_DOUBLE_EQ(upper.region.ranges[d].lo, q.region.ranges[d].lo);
+      EXPECT_DOUBLE_EQ(lower.region.ranges[d].hi, q.region.ranges[d].hi);
     }
   }
 }

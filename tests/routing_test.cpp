@@ -612,16 +612,17 @@ TEST(QuerySplit, StraddleSplitsRegionAtPlane) {
   make_query(sch, 1, 0, Region{{Interval{0.4, 0.8}, Interval{0.2, 0.3}}},
              IndexPoint{0.5, 0.25}, &q);
   ASSERT_EQ(q.prefix.length, 0);  // straddles first plane
-  auto subs = query_split(q, 1);
-  ASSERT_EQ(subs.size(), 2u);
+  QuerySplitPlan plan = plan_query_split(q, 1);
+  ASSERT_EQ(plan.children, 2);
   // Upper child first (paper order).
-  EXPECT_EQ(get_bit(subs[0].prefix.key, 1), 1);
-  EXPECT_DOUBLE_EQ(subs[0].region.ranges[0].lo, 0.5);
-  EXPECT_DOUBLE_EQ(subs[0].region.ranges[0].hi, 0.8);
-  EXPECT_EQ(get_bit(subs[1].prefix.key, 1), 0);
-  EXPECT_DOUBLE_EQ(subs[1].region.ranges[0].hi, 0.5);
+  auto [upper, lower] = split_query(q, plan);
+  EXPECT_EQ(get_bit(upper.prefix.key, 1), 1);
+  EXPECT_DOUBLE_EQ(upper.region.ranges[0].lo, 0.5);
+  EXPECT_DOUBLE_EQ(upper.region.ranges[0].hi, 0.8);
+  EXPECT_EQ(get_bit(lower.prefix.key, 1), 0);
+  EXPECT_DOUBLE_EQ(lower.region.ranges[0].hi, 0.5);
   // Dim 1 untouched by a dim-0 split.
-  EXPECT_DOUBLE_EQ(subs[0].region.ranges[1].lo, 0.2);
+  EXPECT_DOUBLE_EQ(upper.region.ranges[1].lo, 0.2);
 }
 
 TEST(QuerySplit, OneSidedDescends) {
@@ -637,11 +638,12 @@ TEST(QuerySplit, OneSidedDescends) {
   // Manually rebuild a shallow query to exercise the one-sided cases.
   RangeQuery shallow = q;
   shallow.prefix = Prefix{0, 0};
-  auto subs = query_split(shallow, 1);
-  ASSERT_EQ(subs.size(), 1u);
-  EXPECT_EQ(subs[0].prefix.length, 1);
-  EXPECT_EQ(get_bit(subs[0].prefix.key, 1), 1);
-  EXPECT_DOUBLE_EQ(subs[0].region.ranges[0].lo, 0.6);  // region unchanged
+  QuerySplitPlan plan = plan_query_split(shallow, 1);
+  ASSERT_EQ(plan.children, 1);
+  descend_query(shallow, plan);
+  EXPECT_EQ(shallow.prefix.length, 1);
+  EXPECT_EQ(get_bit(shallow.prefix.key, 1), 1);
+  EXPECT_DOUBLE_EQ(shallow.region.ranges[0].lo, 0.6);  // region unchanged
 }
 
 }  // namespace
