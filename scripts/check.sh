@@ -34,9 +34,10 @@
 #                                       # steady-state allocations in an
 #                                       # event-engine storm)
 #   scripts/check.sh --flagship-smoke   # thread-count determinism + the
-#                                       # flagship gate: the fig2 and fig3
-#                                       # sweeps at toy scale (fig3 runs
-#                                       # load migration) and the
+#                                       # flagship gate: the fig2, fig3
+#                                       # and fig5 sweeps at toy scale
+#                                       # (fig3 and fig5 run load
+#                                       # migration) and the
 #                                       # reduced-scale bench_flagship run
 #                                       # (256 nodes / 20k objects), each at
 #                                       # LMK_THREADS=1 and =8 with a byte
@@ -148,13 +149,15 @@ run_flagship_smoke() {
   cmake -B build-check -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DLMK_WERROR=ON >/dev/null
   cmake --build build-check -j"$(nproc)" --target bench_flagship \
-    bench_fig2_synthetic_nolb bench_fig3_synthetic_lb >/dev/null
+    bench_fig2_synthetic_nolb bench_fig3_synthetic_lb \
+    bench_fig5_trec_lb >/dev/null
   # Sweep-engine determinism: each figure sweep must emit byte-identical
   # tables strictly serial (LMK_THREADS=1) and parallel (LMK_THREADS=8).
-  # fig3 runs load migration, so it puts the load prober and the
-  # leave/rejoin path under the same contract.
+  # fig3 and fig5 run load migration (fig5 on the TREC-like corpus), so
+  # they put the load balancer and the leave/rejoin path under the same
+  # contract on two datasets.
   local bench fig t
-  for bench in fig2_synthetic_nolb fig3_synthetic_lb; do
+  for bench in fig2_synthetic_nolb fig3_synthetic_lb fig5_trec_lb; do
     fig="${bench%%_*}"
     echo "== check.sh: flagship smoke (${fig} sweep, 1 vs 8 threads) =="
     for t in 1 8; do

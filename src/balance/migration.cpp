@@ -1,10 +1,61 @@
 #include "balance/migration.hpp"
 
 #include <cstdint>
+#include <limits>
+#include <span>
 
 #include "common/check.hpp"
 
 namespace lmk {
+
+// One round's load of every alive node, indexed by host (+inf where no
+// alive node runs), and its two smallest entries. Exact for the round
+// as long as the nodes each migration touches are re-read (see Hooks).
+struct LoadBalancer::LoadTable {
+  static constexpr double kNone = std::numeric_limits<double>::infinity();
+
+  LoadTable(std::size_t hosts,
+            const std::function<double(const ChordNode&)>& load_fn)
+      : load(load_fn), by_host(hosts, kNone) {}
+
+  /// (Re-)read the loads of `nodes`, then re-rank.
+  void read(std::span<ChordNode* const> nodes) {
+    for (const ChordNode* n : nodes) by_host[n->host()] = load(*n);
+    rank();
+  }
+
+  [[nodiscard]] double of(const ChordNode& n) const {
+    // Only alive nodes probe or are probed, and none joins mid-round.
+    LMK_CHECK(by_host[n.host()] != kNone);
+    return by_host[n.host()];
+  }
+
+  /// The smallest load among the alive nodes other than `n`.
+  [[nodiscard]] double floor_without(const ChordNode& n) const {
+    return n.host() == min_host ? second : min;
+  }
+
+ private:
+  void rank() {
+    min = second = kNone;
+    for (HostId h = 0; h < by_host.size(); ++h) {
+      const double l = by_host[h];
+      if (l < min) {
+        second = min;
+        min = l;
+        min_host = h;
+      } else if (l < second) {
+        second = l;
+      }
+    }
+  }
+
+  const std::function<double(const ChordNode&)>& load;
+  std::vector<double> by_host;
+  HostId min_host = 0;
+  double min = kNone;
+  double second = kNone;
+};
 
 LoadBalancer::LoadBalancer(Ring& ring, Options opts, Hooks hooks)
     : ring_(ring), opts_(opts), hooks_(std::move(hooks)) {
@@ -44,15 +95,18 @@ std::vector<ChordNode*> LoadBalancer::probe_set(ChordNode& n) const {
   return out;
 }
 
-bool LoadBalancer::try_migrate(ChordNode& heavy) {
+bool LoadBalancer::try_migrate(ChordNode& heavy, LoadTable& loads) {
+  const double my_load = loads.of(heavy);
+  // Every probe is another alive node: if none of those holds under
+  // half of my_load, the walk would end in the victim test's `false`.
+  if (loads.floor_without(heavy) >= my_load / 2.0) return false;
   std::vector<ChordNode*> probes = probe_set(heavy);
   if (probes.empty()) return false;
-  double my_load = hooks_.load(heavy);
   double total = 0;
   ChordNode* lightest = nullptr;
   double lightest_load = 0;
   for (ChordNode* p : probes) {
-    double l = hooks_.load(*p);
+    double l = loads.of(*p);
     total += l;
     if (lightest == nullptr || l < lightest_load) {
       lightest = p;
@@ -87,18 +141,17 @@ bool LoadBalancer::try_migrate(ChordNode& heavy) {
     // lmk-lint: allow(cross-node-touch) same collision probe, next id
     occupied = ring_.oracle_successor(split);
   }
-  // Victim leaves: its entries drain to its successor.
+  // Victim leaves: its entries drain to its successor. Draining into
+  // the heavy node would defeat the purpose unless the victim is empty.
   ChordNode* victim_succ = lightest->successor().node;
-  if (victim_succ == nullptr || victim_succ == &heavy) {
-    // Draining into the heavy node would defeat the purpose unless the
-    // victim is empty; allow only the trivial case.
-    if (hooks_.load(*lightest) > 0 && victim_succ == &heavy) return false;
-  }
+  if (victim_succ == &heavy && lightest_load > 0) return false;
   hooks_.drain_to(*lightest, *victim_succ);
   ring_.leave(*lightest);
   // ...and rejoins as the heavy node's predecessor at the split point.
   ring_.rejoin(*lightest, split);
   hooks_.pull_owned(heavy, *lightest);
+  ChordNode* const touched[] = {lightest, victim_succ, &heavy};
+  loads.read(touched);
   ++migrations_;
   return true;
 }
@@ -110,9 +163,12 @@ int LoadBalancer::run_round() {
   // The round driver models the balancer's global probe schedule,
   // not a single node's handler.
   // lmk-lint: allow(cross-node-touch) round driver, not a handler
-  for (ChordNode* n : ring_.alive_nodes()) {
+  const std::vector<ChordNode*> sweep = ring_.alive_nodes();
+  LoadTable loads(ring_.net().hosts(), hooks_.load);
+  loads.read(sweep);
+  for (ChordNode* n : sweep) {
     if (!n->alive()) continue;  // may have migrated earlier this round
-    if (try_migrate(*n)) ++migrated;
+    if (try_migrate(*n, loads)) ++migrated;
   }
   // Let finger tables catch up with the membership changes (stand-in
   // for the background fix-finger rounds that would run between probes).

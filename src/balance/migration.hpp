@@ -35,6 +35,10 @@ class LoadBalancer {
     int probe_level = 4;
   };
 
+  /// During a round, a node's `load` may change only through `drain_to`
+  /// and `pull_owned`: run_round reads every load once and re-reads just
+  /// the nodes a migration touched. The platform's hooks (entries
+  /// stored) meet this.
   struct Hooks {
     /// Current load of a node (index entries stored).
     std::function<double(const ChordNode&)> load;
@@ -51,7 +55,15 @@ class LoadBalancer {
   LoadBalancer(Ring& ring, Options opts, Hooks hooks);
 
   /// One probing round over every alive node (deterministic order).
-  /// Returns the number of migrations performed.
+  /// Returns the number of migrations performed. A node moves load only
+  /// when its lightest probe holds under half its load, and every probe
+  /// is another alive node; so a node that no alive node undercuts by
+  /// that much is skipped without a probe walk. The round reads every
+  /// alive node's load once into a table indexed by host that keeps its
+  /// two smallest entries, and re-reads the three nodes each migration
+  /// touches (victim, victim's successor, heavy node). The skip returns
+  /// exactly the `false` the walk would have, so migrations, their order
+  /// and the final layout do not change.
   int run_round();
 
   /// Rounds until a round performs no migration (or max_rounds).
@@ -70,7 +82,8 @@ class LoadBalancer {
   [[nodiscard]] std::vector<ChordNode*> probe_set(ChordNode& n) const;
 
  private:
-  bool try_migrate(ChordNode& heavy);
+  struct LoadTable;  // one round's loads by host (migration.cpp)
+  bool try_migrate(ChordNode& heavy, LoadTable& loads);
 
   Ring& ring_;
   Options opts_;

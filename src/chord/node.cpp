@@ -74,7 +74,9 @@ void ChordNode::set_successors(std::vector<NodeRef> list) {
 
 void ChordNode::set_finger(int i, NodeRef f) {
   LMK_CHECK(i >= 0 && i < kIdBits);
-  fingers_[static_cast<std::size_t>(i)] = f;
+  NodeRef& slot = fingers_[static_cast<std::size_t>(i)];
+  if (slot.node == f.node && slot.id == f.id) return;
+  slot = f;
   table_stale_ = true;
 }
 

@@ -55,8 +55,9 @@ class ChordNode {
   /// Reference to this node under its current identifier.
   [[nodiscard]] NodeRef self_ref() { return NodeRef{this, id_}; }
 
-  /// First valid successor (the ring neighbour). Invalid ref when the
-  /// node has no live successor (singleton ring: itself is returned).
+  /// First valid successor (the ring neighbour). Never invalid: when no
+  /// successor is live (singleton ring, or a fully stale list), it is a
+  /// ref to this node itself.
   [[nodiscard]] NodeRef successor() const;
 
   [[nodiscard]] const NodeRef& predecessor() const { return predecessor_; }
@@ -79,9 +80,10 @@ class ChordNode {
   /// node's own id, sorted by clockwise distance from id() with ties
   /// broken by host (distinct as long as no two nodes share a host, which
   /// Ring enforces). Entries may be stale; readers test valid(). Derived
-  /// state: rebuilt lazily on the first read after set_finger,
-  /// set_successors, kill or revive. A node is only ever touched by its
-  /// ring's single simulation thread, so the rebuild takes no lock.
+  /// state: rebuilt lazily on the first read after a set_finger that
+  /// changed a finger, set_successors, kill or revive. A node is only
+  /// ever touched by its ring's single simulation thread, so the rebuild
+  /// takes no lock.
   [[nodiscard]] std::span<const NodeRef> routing_table() const;
 
   /// The paper's next_hop (footnote 4): the routing-table entry — finger
@@ -100,7 +102,8 @@ class ChordNode {
 
   void set_predecessor(NodeRef p) { predecessor_ = p; }
 
-  /// Install finger i (finger i targets id + 2^i, i ∈ [0, 64)).
+  /// Install finger i (finger i targets id + 2^i, i ∈ [0, 64)). The
+  /// routing table goes stale only when the finger changes.
   void set_finger(int i, NodeRef f);
 
   /// The identifier finger i targets: id + 2^i (mod 2^64).

@@ -302,7 +302,14 @@ void IndexPlatform::on_solve(std::span<const RangeQuery> pieces,
   auto it = active_.find(first.qid);
   LMK_CHECK(it != active_.end());
   ActiveQuery& aq = it->second;
-  NodeReply& reply = aq.nodes[&node];
+  NodeReply* found = aq.find(node);
+  if (found == nullptr) {
+    // A query's first solve at a node adds the node's record.
+    // lmk-lint: allow(hot-alloc) per-query node records
+    found = &aq.nodes.emplace_back();
+    found->node = &node;
+  }
+  NodeReply& reply = *found;
 
   // Collect the local matches: stored entries whose index point lies in
   // the (closed) region of some piece, scored for the per-node top-k
@@ -386,9 +393,9 @@ void IndexPlatform::flush_reply(std::uint64_t qid, ChordNode& node) {
   auto it = active_.find(qid);
   LMK_CHECK(it != active_.end());
   ActiveQuery& aq = it->second;
-  auto rit = aq.nodes.find(&node);
-  LMK_CHECK(rit != aq.nodes.end() && rit->second.flush_scheduled);
-  NodeReply& reply = rit->second;
+  NodeReply* found = aq.find(node);
+  LMK_CHECK(found != nullptr && found->flush_scheduled);
+  NodeReply& reply = *found;
   reply.flush_scheduled = false;
   auto& scored = reply.scored;
 

@@ -297,6 +297,7 @@ class IndexPlatform {
   /// it as ONE result message — the paper's "each queried index node
   /// returns the 10-nearest local results".
   struct NodeReply {
+    const ChordNode* node = nullptr;
     std::uint64_t candidates = 0;
     std::vector<std::pair<double, std::uint64_t>> scored;
     bool flush_scheduled = false;
@@ -317,10 +318,15 @@ class IndexPlatform {
     QueryOutcome outcome;
     QueryCallback done;
     DistanceFn rank;
-    // Found by the solving and the flushing node only; its size is the
-    // only aggregate read, so no code path iterates it.
-    // lmk-lint: allow(pointer-key-unordered) lookup-only per-node records
-    std::unordered_map<const ChordNode*, NodeReply> nodes;
+    /// One record per answering node, in first-solve order, found by a
+    /// linear search: a query has a handful to a few dozen of them.
+    std::vector<NodeReply> nodes;
+    [[nodiscard]] NodeReply* find(const ChordNode& node) {
+      for (NodeReply& r : nodes) {
+        if (r.node == &node) return &r;
+      }
+      return nullptr;
+    }
   };
 
   [[nodiscard]] std::vector<ChordNode*> replica_nodes(Id key) const;

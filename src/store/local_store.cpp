@@ -24,6 +24,13 @@ bool inside(std::span<const double> pt, const Region& region,
 // cover a cache miss at the walk's few nanoseconds per entry.
 constexpr std::size_t kPrefetchAhead = 16;
 
+// Prefetch a row's first and last coordinate: a row of more than eight
+// coordinates, or one that starts mid-line, spans two cache lines.
+void prefetch_row(std::span<const double> pt) {
+  __builtin_prefetch(pt.data());
+  __builtin_prefetch(pt.data() + pt.size() - 1);
+}
+
 }  // namespace
 
 void LocalStore::build(const EntryStore& entries) {
@@ -140,18 +147,23 @@ std::size_t LocalStore::range(const EntryStore& entries, const Region& region,
       best_d = d;
     }
   }
-  // Walk the smallest slice, prefetching rows ahead of the inside test,
-  // and mark hits in the bitmap: reading it back yields them in entry
-  // order, the same order the stale scan produces, without a sort.
+  // Walk the smallest slice, prefetching rows ahead of the inside test
+  // (the slice's first rows before the walk starts), and mark hits in
+  // the bitmap: reading it back yields them in entry order, the same
+  // order the stale scan produces, without a sort.
   const std::uint32_t* const ids = ids_.data() + best_d * n;
   const std::size_t first = b[2 * best_d];
   const std::size_t last = first + best_count;
+  for (std::size_t k = first; k < std::min(last, first + kPrefetchAhead);
+       ++k) {
+    prefetch_row(entries.point(ids[k]));
+  }
   // Hit words span [lo_word, hi_word]; none when lo_word > hi_word.
   std::uint32_t lo_word = UINT32_MAX;
   std::uint32_t hi_word = 0;
   for (std::size_t k = first; k < last; ++k) {
     if (k + kPrefetchAhead < last) {
-      __builtin_prefetch(entries.point(ids[k + kPrefetchAhead]).data());
+      prefetch_row(entries.point(ids[k + kPrefetchAhead]));
     }
     const std::uint32_t ei = ids[k];
     // The slice already satisfies best_d.

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <tuple>
 #include <unordered_set>
 #include <vector>
 
@@ -257,6 +258,179 @@ TEST(Migration, ProbeSetMatchesSlotWalkSetAfterStabilization) {
     }
   }
   EXPECT_EQ(mismatches, 0u) << "over " << probes << " probes";
+}
+
+// Reference balancer without a load table: every alive node walks its
+// probe set and reads each probe's load through the hook, and only the
+// walk's tests reject. LoadBalancer must migrate exactly as it does.
+class WalkEveryNodeBalancer {
+ public:
+  WalkEveryNodeBalancer(Ring& ring, LoadBalancer::Options opts,
+                        LoadBalancer::Hooks hooks)
+      : ring_(ring), opts_(opts), hooks_(hooks), prober_(ring, opts, hooks) {}
+
+  int run_round() {
+    int migrated = 0;
+    for (ChordNode* n : ring_.alive_nodes()) {
+      if (!n->alive()) continue;
+      if (try_migrate(*n)) ++migrated;
+    }
+    if (migrated > 0) ring_.refresh_all_fingers();
+    return migrated;
+  }
+
+ private:
+  bool try_migrate(ChordNode& heavy) {
+    std::vector<ChordNode*> probes = prober_.probe_set(heavy);
+    if (probes.empty()) return false;
+    double my_load = hooks_.load(heavy);
+    double total = 0;
+    ChordNode* lightest = nullptr;
+    double lightest_load = 0;
+    for (ChordNode* p : probes) {
+      double l = hooks_.load(*p);
+      total += l;
+      if (lightest == nullptr || l < lightest_load) {
+        lightest = p;
+        lightest_load = l;
+      }
+    }
+    double avg = total / static_cast<double>(probes.size());
+    if (my_load <= avg * (1.0 + opts_.delta)) return false;
+    if (lightest_load >= my_load / 2.0) return false;
+    if (lightest == &heavy) return false;
+    Id split = hooks_.split_key(heavy);
+    if (!in_open(split, heavy.predecessor().id, heavy.id())) return false;
+    ChordNode* occupied = ring_.oracle_successor(split);
+    while (occupied->id() == split) {
+      ++split;
+      if (!in_open(split, heavy.predecessor().id, heavy.id())) return false;
+      occupied = ring_.oracle_successor(split);
+    }
+    ChordNode* victim_succ = lightest->successor().node;
+    if (victim_succ == &heavy && hooks_.load(*lightest) > 0) return false;
+    hooks_.drain_to(*lightest, *victim_succ);
+    ring_.leave(*lightest);
+    ring_.rejoin(*lightest, split);
+    hooks_.pull_owned(heavy, *lightest);
+    return true;
+  }
+
+  Ring& ring_;
+  LoadBalancer::Options opts_;
+  LoadBalancer::Hooks hooks_;
+  LoadBalancer prober_;  // probe_set only
+};
+
+// One drain or pull as the balancer issued it: kind, then the hosts and
+// ids of both ends at the time of the call.
+using Move = std::tuple<char, HostId, Id, HostId, Id>;
+
+// The platform's hooks, logging every drain and pull into `log`.
+LoadBalancer::Hooks logged_hooks(IndexPlatform& platform,
+                                 std::vector<Move>& log) {
+  LoadBalancer::Hooks hooks = platform.balancer_hooks();
+  hooks.drain_to = [drain = hooks.drain_to, &log](ChordNode& from,
+                                                  ChordNode& to) {
+    log.emplace_back('d', from.host(), from.id(), to.host(), to.id());
+    drain(from, to);
+  };
+  hooks.pull_owned = [pull = hooks.pull_owned, &log](ChordNode& from,
+                                                     ChordNode& to) {
+    log.emplace_back('p', from.host(), from.id(), to.host(), to.id());
+    pull(from, to);
+  };
+  return hooks;
+}
+
+// Every node ever created, in creation order: alive, id and load.
+std::vector<std::tuple<bool, Id, std::size_t>> layout(DelayStack& s) {
+  std::vector<std::tuple<bool, Id, std::size_t>> out;
+  for (std::size_t i = 0; i < s.ring->node_count(); ++i) {
+    const ChordNode& n = s.ring->node(i);
+    out.emplace_back(n.alive(), n.id(), s.platform->entries_on(n));
+  }
+  return out;
+}
+
+// A ring of `size` nodes holding 24 skewed entries per node, with
+// `replication` copies each; `crashed` nodes then fail, their ring
+// neighbours are repaired, and every finger that named them stays stale.
+std::unique_ptr<DelayStack> skewed_ring(std::size_t size,
+                                        std::size_t replication,
+                                        std::size_t crashed) {
+  auto s = std::make_unique<DelayStack>(size, 31 * size + replication);
+  IndexPlatform::Options popts;
+  popts.replication = replication;
+  s->platform = std::make_unique<IndexPlatform>(*s->ring, popts);
+  const std::uint32_t scheme = s->platform->register_scheme(
+      "skew", uniform_boundary(2, 0, 1), false);
+  Rng rng(size + replication);
+  for (std::uint64_t i = 0; i < 24 * size; ++i) {
+    s->platform->insert(
+        scheme, i,
+        IndexPoint{std::clamp(rng.normal(0.8, 0.08), 0.0, 1.0),
+                   std::clamp(rng.normal(0.3, 0.15), 0.0, 1.0)});
+  }
+  for (std::size_t c = 0; c < crashed; ++c) {
+    const std::vector<ChordNode*> alive = s->ring->alive_nodes();
+    s->ring->fail(*alive[rng.below(alive.size())]);
+  }
+  if (crashed > 0) {
+    for (ChordNode* n : s->ring->alive_nodes()) s->ring->fix_neighbors(*n);
+  }
+  return s;
+}
+
+TEST(Migration, RoundsMatchWalkEveryNodeReference) {
+  // The load table skips a node's probe walk only when the walk would
+  // reject anyway, so on identical rings both balancers must issue the
+  // same drains and pulls in the same order, round after round.
+  struct RingCase {
+    std::size_t size;
+    std::size_t crashed;
+  };
+  int migrations = 0, stale_refs = 0;
+  for (const RingCase ring : {RingCase{16, 0}, RingCase{64, 0},
+                              RingCase{256, 0}, RingCase{64, 6}}) {
+    for (const double delta : {0.0, 0.25}) {
+      for (const int level : kProbeLevels) {
+        for (const std::size_t replication : {1u, 2u}) {
+          SCOPED_TRACE(testing::Message()
+                       << ring.size << " nodes, " << ring.crashed
+                       << " crashed, delta " << delta << ", P_l " << level
+                       << ", replication " << replication);
+          auto got = skewed_ring(ring.size, replication, ring.crashed);
+          auto want = skewed_ring(ring.size, replication, ring.crashed);
+          for (ChordNode* n : got->ring->alive_nodes()) {
+            for (const NodeRef& f : n->finger_table()) {
+              stale_refs += f.node != nullptr && !f.node->alive();
+            }
+          }
+          LoadBalancer::Options opts;
+          opts.delta = delta;
+          opts.probe_level = level;
+          std::vector<Move> got_log, want_log;
+          LoadBalancer lb(*got->ring, opts,
+                          logged_hooks(*got->platform, got_log));
+          WalkEveryNodeBalancer ref(*want->ring, opts,
+                                    logged_hooks(*want->platform, want_log));
+          for (int round = 0; round < 12; ++round) {
+            const int m = lb.run_round();
+            ASSERT_EQ(m, ref.run_round()) << "round " << round;
+            ASSERT_EQ(got_log, want_log) << "round " << round;
+            ASSERT_EQ(layout(*got), layout(*want)) << "round " << round;
+            migrations += m;
+            if (m == 0) break;
+          }
+        }
+      }
+    }
+  }
+  // The comparison means something only if rounds migrate, and the
+  // crashed ring's fingers really name dead nodes.
+  EXPECT_GT(migrations, 1000);
+  EXPECT_GT(stale_refs, 0);
 }
 
 TEST(Migration, MovesLoadOffTheHotNode) {
