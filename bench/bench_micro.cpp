@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: the
 // locality-preserving hash, query splitting, metric distance functions,
-// landmark mapping, Chord routing-table scans and the local-store probe.
+// landmark mapping, Chord routing-table scans, the oracle finger refresh
+// and the local-store probe.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -287,6 +288,45 @@ void BM_OracleSuccessor(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OracleSuccessor);
+
+// Ring::refresh_all_fingers with PNS (16 samples) over a King-like delay
+// space, as load migration calls it after every round that moved a
+// node. Arg 0: nodes (balanced-range's 256, the paper's 1,740). Arg 1:
+// 0 for uniform ids, 1 for a quarter of the nodes in one band a few
+// thousand ids apart, the shape migration leaves in front of a heavy
+// node. After the first pass no finger changes, so no routing table
+// goes stale: this times the finger search alone.
+void BM_RingRefreshAllFingers(benchmark::State& state) {
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  DelaySpaceModel::Options topo_opts;
+  topo_opts.hosts = nodes;
+  Simulator sim;
+  DelaySpaceModel topo(topo_opts);
+  Network net(sim, topo);
+  Ring ring(net, Ring::Options{});
+  const std::size_t band = state.range(1) == 1 ? nodes / 4 : 0;
+  Rng rng(10);
+  Id at = rng.next();
+  for (HostId h = 0; h < nodes; ++h) {
+    if (h < band) {
+      ring.create_node_with_id(h, at);
+      at += 2000 + rng.below(4000);
+    } else {
+      ring.create_node(h);
+    }
+  }
+  ring.bootstrap();
+  for (auto _ : state) {
+    ring.refresh_all_fingers();
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RingRefreshAllFingers)
+    ->Args({256, 0})
+    ->Args({256, 1})
+    ->Args({1740, 0})
+    ->Args({1740, 1})
+    ->Unit(benchmark::kMicrosecond);
 
 // LocalStore::range on fresh indices, 10 dims, in the two store shapes
 // the perfbench workloads probe. Arg 0: 256 stores of 80 rows probed

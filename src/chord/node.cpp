@@ -27,7 +27,12 @@ std::span<const NodeRef> ChordNode::routing_table() const {
     if (r.node != nullptr && r.id != id_) scratch[n++] = r;
   }
   for (const NodeRef& r : fingers_) {
-    if (r.node != nullptr && r.id != id_) scratch[n++] = r;
+    // Neighbouring fingers often share one ref (every finger whose
+    // interval ends before the successor holds the successor), so drop
+    // repeats before the sort.
+    if (r.node != nullptr && r.id != id_ && (n == 0 || r != scratch[n - 1])) {
+      scratch[n++] = r;
+    }
   }
   auto order = [this](const NodeRef& a, const NodeRef& b) {
     const Id da = a.id - id_, db = b.id - id_;
@@ -37,11 +42,7 @@ std::span<const NodeRef> ChordNode::routing_table() const {
   std::sort(scratch.begin(), end, order);
   // Equal refs share a sort key, and a key's run holds one node when no
   // two nodes share a host, so the copies are adjacent.
-  table_.assign(scratch.begin(),
-                std::unique(scratch.begin(), end,
-                            [](const NodeRef& a, const NodeRef& b) {
-                              return a.node == b.node && a.id == b.id;
-                            }));
+  table_.assign(scratch.begin(), std::unique(scratch.begin(), end));
   table_stale_ = false;
   return table_;
 }
@@ -68,14 +69,14 @@ NodeRef ChordNode::next_hop(Id key) const {
 
 void ChordNode::set_successors(std::vector<NodeRef> list) {
   if (list.size() > kSuccessors) list.resize(kSuccessors);
+  if (list != successors_) table_stale_ = true;
   successors_ = std::move(list);
-  table_stale_ = true;
 }
 
 void ChordNode::set_finger(int i, NodeRef f) {
   LMK_CHECK(i >= 0 && i < kIdBits);
   NodeRef& slot = fingers_[static_cast<std::size_t>(i)];
-  if (slot.node == f.node && slot.id == f.id) return;
+  if (slot == f) return;
   slot = f;
   table_stale_ = true;
 }

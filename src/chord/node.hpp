@@ -31,6 +31,8 @@ struct NodeRef {
 
   [[nodiscard]] bool valid() const;
   [[nodiscard]] explicit operator bool() const { return node != nullptr; }
+  /// Same node under the same identifier.
+  friend bool operator==(const NodeRef&, const NodeRef&) = default;
 };
 
 /// Chord routing state for one overlay node.
@@ -80,8 +82,8 @@ class ChordNode {
   /// node's own id, sorted by clockwise distance from id() with ties
   /// broken by host (distinct as long as no two nodes share a host, which
   /// Ring enforces). Entries may be stale; readers test valid(). Derived
-  /// state: rebuilt lazily on the first read after a set_finger that
-  /// changed a finger, set_successors, kill or revive. A node is only
+  /// state: rebuilt lazily on the first read after a set_finger or
+  /// set_successors that changed a ref, kill or revive. A node is only
   /// ever touched by its ring's single simulation thread, so the rebuild
   /// takes no lock.
   [[nodiscard]] std::span<const NodeRef> routing_table() const;
@@ -98,6 +100,7 @@ class ChordNode {
   // --- Overlay-maintenance API (used by Ring, joins, stabilization) ---
 
   /// Replace the successor list (index 0 is the immediate successor).
+  /// The routing table goes stale only when the list changes.
   void set_successors(std::vector<NodeRef> list);
 
   void set_predecessor(NodeRef p) { predecessor_ = p; }

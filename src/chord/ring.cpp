@@ -39,36 +39,33 @@ std::vector<ChordNode*> Ring::alive_nodes() const {
 }
 
 void Ring::insert_sorted(ChordNode& n) {
-  auto it = std::lower_bound(
-      sorted_.begin(), sorted_.end(), n.id(),
-      [](const ChordNode* a, Id id) { return a->id() < id; });
+  const auto pos = std::lower_bound(ids_.begin(), ids_.end(), n.id());
   // Identifier collisions would make ownership ambiguous; with random
   // 64-bit ids this is effectively impossible, so treat it as a bug.
-  LMK_CHECK_MSG(it == sorted_.end() || (*it)->id() != n.id(),
+  LMK_CHECK_MSG(pos == ids_.end() || *pos != n.id(),
                 "id collision on %016llx at t=%lld",
                 static_cast<unsigned long long>(n.id()),
                 static_cast<long long>(sim().now()));
-  sorted_.insert(it, &n);
+  sorted_.insert(sorted_.begin() + (pos - ids_.begin()), &n);
+  ids_.insert(pos, n.id());
 }
 
 void Ring::remove_sorted(ChordNode& n) {
-  auto it = std::lower_bound(
-      sorted_.begin(), sorted_.end(), n.id(),
-      [](const ChordNode* a, Id id) { return a->id() < id; });
-  LMK_CHECK_MSG(it != sorted_.end() && *it == &n,
+  const auto pos = std::lower_bound(ids_.begin(), ids_.end(), n.id());
+  const auto it = sorted_.begin() + (pos - ids_.begin());
+  LMK_CHECK_MSG(pos != ids_.end() && *it == &n,
                 "node %016llx missing from alive index at t=%lld",
                 static_cast<unsigned long long>(n.id()),
                 static_cast<long long>(sim().now()));
   sorted_.erase(it);
+  ids_.erase(pos);
 }
 
 std::size_t Ring::sorted_index_of_successor(Id key) const {
-  LMK_CHECK(!sorted_.empty());
-  auto it = std::lower_bound(
-      sorted_.begin(), sorted_.end(), key,
-      [](const ChordNode* a, Id id) { return a->id() < id; });
-  if (it == sorted_.end()) return 0;  // wrap to the smallest id
-  return static_cast<std::size_t>(it - sorted_.begin());
+  LMK_CHECK(!ids_.empty());
+  const auto pos = std::lower_bound(ids_.begin(), ids_.end(), key);
+  if (pos == ids_.end()) return 0;  // wrap to the smallest id
+  return static_cast<std::size_t>(pos - ids_.begin());
 }
 
 ChordNode* Ring::oracle_successor(Id key) const {
@@ -121,24 +118,61 @@ void Ring::fix_fingers(ChordNode& n) {
   LMK_CHECK_MSG(n.alive(), "fix_fingers on dead node %016llx at t=%lld",
                 static_cast<unsigned long long>(n.id()),
                 static_cast<long long>(sim().now()));
-  std::size_t ring_size = sorted_.size();
-  for (int i = 0; i < kIdBits; ++i) {
-    Id start = n.finger_start(i);
-    ChordNode* best = oracle_successor(start);
+  // Walk the ring clockwise from n. Rank c in [1, size) is the c-th node
+  // after n; rank size is n itself, the successor of every finger start
+  // past the last other node. Distances from n grow with the rank, and
+  // finger i's interval [2^i, 2^(i+1)) follows finger i-1's, so one
+  // cursor that only moves forward finds every interval's successor.
+  const std::size_t size = ids_.size();
+  const std::size_t self = sorted_index_of_successor(n.id());
+  LMK_DCHECK(sorted_[self] == &n);
+  const Id x = n.id();
+  auto slot = [&](std::size_t c) {
+    const std::size_t j = self + c;
+    return j < size ? j : j - size;
+  };
+  auto dist = [&](std::size_t c) { return ids_[slot(c)] - x; };
+  int i = 0;
+  if (size > 1) {
+    // Intervals that end at or before the successor hold no node.
+    const NodeRef succ{sorted_[slot(1)], ids_[slot(1)]};
+    for (; i < kIdBits - 1 && (Id{2} << i) <= dist(1); ++i) {
+      n.set_finger(i, succ);
+    }
+  }
+  const std::size_t samples =
+      static_cast<std::size_t>(std::max(opts_.pns_samples, 0));
+  std::size_t c = 1;
+  for (; i < kIdBits; ++i) {
+    const Id reach = Id{1} << i;
+    if (c < size && dist(c) < reach) {
+      // Gallop to the first rank at distance >= reach, keeping
+      // dist(lo) < reach and hi == size or dist(hi) >= reach.
+      std::size_t lo = c, hi = c + 1, step = 1;
+      while (hi < size && dist(hi) < reach) {
+        lo = hi;
+        step *= 2;
+        hi = std::min(lo + step, size);
+      }
+      while (hi - lo > 1) {
+        const std::size_t mid = lo + (hi - lo) / 2;
+        if (dist(mid) < reach) {
+          lo = mid;
+        } else {
+          hi = mid;
+        }
+      }
+      c = hi;
+    }
+    ChordNode* best = c < size ? sorted_[slot(c)] : &n;
     if (opts_.pns && i < kIdBits - 1) {
-      // Any node in [start, start + 2^i) is a valid finger-i candidate;
+      // Any node at distance [2^i, 2^(i+1)) is a valid finger-i candidate;
       // examine up to pns_samples of them and keep the closest by latency.
-      Id end = n.id() + (Id{1} << (i + 1));
-      std::size_t idx = sorted_index_of_successor(start);
       SimTime best_lat = -1;
       ChordNode* choice = nullptr;
-      for (int s = 0; s < opts_.pns_samples &&
-                      static_cast<std::size_t>(s) < ring_size;
-           ++s) {
-        ChordNode* cand = sorted_[(idx + static_cast<std::size_t>(s)) %
-                                  ring_size];
-        if (!in_closed_open(cand->id(), start, end)) break;
-        if (cand == &n) continue;
+      for (const std::size_t end = std::min(c + samples, size);
+           c < end && dist(c) < reach << 1; ++c) {
+        ChordNode* cand = sorted_[slot(c)];
         SimTime lat = net_.latency(n.host(), cand->host());
         if (choice == nullptr || lat < best_lat) {
           choice = cand;

@@ -155,6 +155,7 @@ class Ring {
   Options opts_;
   std::vector<std::unique_ptr<ChordNode>> nodes_;
   std::vector<ChordNode*> sorted_;  // alive nodes, ascending id
+  std::vector<Id> ids_;             // sorted_[i]->id(): searches read no node
   std::vector<bool> host_taken_;    // hosts that run a node, alive or dead
   TrafficCounter maintenance_;
 };

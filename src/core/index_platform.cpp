@@ -538,25 +538,29 @@ Id IndexPlatform::median_key(const ChordNode& n) const {
       offsets.push_back(clockwise_distance(pred, ss.entries.key(i)));
     }
   }
-  if (offsets.empty()) return pred;
-  std::sort(offsets.begin(), offsets.end());
   // The split key: the largest entry key in the first half. A node
   // rejoining at pred + offset takes every entry at or below it.
-  std::size_t half = offsets.size() / 2;
+  const std::size_t half = offsets.size() / 2;
   if (half == 0) return pred;
-  Id split_offset = offsets[half - 1];
-  // All entries on one key: the load cannot be divided (paper §4.3).
-  if (split_offset == offsets.back() && offsets.front() == offsets.back()) {
-    return pred;
+  const auto nth = offsets.begin() + static_cast<std::ptrdiff_t>(half - 1);
+  std::nth_element(offsets.begin(), nth, offsets.end());
+  Id split_offset = *nth;
+  // One pass for the largest offset and the largest one strictly below
+  // it, which stays 0 when every entry sits on one key.
+  Id hi = split_offset, below_hi = 0;
+  for (Id o : offsets) {
+    if (o > hi) {
+      below_hi = hi;
+      hi = o;
+    } else if (o < hi) {
+      below_hi = std::max(below_hi, o);
+    }
   }
   // If the nominal split would take everything, back off to the largest
-  // strictly smaller key so the heavy node keeps the top cluster.
-  if (split_offset == offsets.back()) {
-    auto lower = std::lower_bound(offsets.begin(), offsets.end(),
-                                  split_offset);
-    LMK_CHECK(lower != offsets.begin());
-    split_offset = *(lower - 1);
-  }
+  // strictly smaller key so the heavy node keeps the top cluster. With
+  // all entries on one key that is pred itself: the load cannot be
+  // divided (paper §4.3).
+  if (split_offset == hi) split_offset = below_hi;
   return pred + split_offset;
 }
 

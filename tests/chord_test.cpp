@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
+#include <optional>
 #include <set>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -529,6 +533,214 @@ TEST(Ring, LookupsStillCorrectAfterManyMigrations) {
     o.sim.run();
     EXPECT_EQ(got.node, expected);
   }
+}
+
+// The two-search finger refresh Ring::fix_fingers replaced, over a copy
+// of the alive nodes sorted by id: each finger binary-searches its
+// interval's successor, and PNS searches again to start its window.
+std::array<NodeRef, kIdBits> two_search_fingers(
+    const std::vector<ChordNode*>& sorted, const ChordNode& n,
+    const Network& net, const Ring::Options& opts) {
+  auto successor_index = [&](Id key) -> std::size_t {
+    auto it = std::lower_bound(
+        sorted.begin(), sorted.end(), key,
+        [](const ChordNode* a, Id id) { return a->id() < id; });
+    if (it == sorted.end()) return 0;
+    return static_cast<std::size_t>(it - sorted.begin());
+  };
+  std::array<NodeRef, kIdBits> fingers;
+  const std::size_t ring_size = sorted.size();
+  for (int i = 0; i < kIdBits; ++i) {
+    Id start = n.finger_start(i);
+    ChordNode* best = sorted[successor_index(start)];
+    if (opts.pns && i < kIdBits - 1) {
+      Id end = n.id() + (Id{1} << (i + 1));
+      std::size_t idx = successor_index(start);
+      SimTime best_lat = -1;
+      ChordNode* choice = nullptr;
+      for (int s = 0; s < opts.pns_samples &&
+                      static_cast<std::size_t>(s) < ring_size;
+           ++s) {
+        ChordNode* cand = sorted[(idx + static_cast<std::size_t>(s)) %
+                                 ring_size];
+        if (!in_closed_open(cand->id(), start, end)) break;
+        if (cand == &n) continue;
+        SimTime lat = net.latency(n.host(), cand->host());
+        if (choice == nullptr || lat < best_lat) {
+          choice = cand;
+          best_lat = lat;
+        }
+      }
+      if (choice != nullptr) best = choice;
+    }
+    fingers[static_cast<std::size_t>(i)] = NodeRef{best, best->id()};
+  }
+  return fingers;
+}
+
+// routing_table() as a sort of all 80 slots: the distinct non-null refs
+// not at the node's own id, by clockwise distance, then host.
+std::vector<NodeRef> sorted_slots_table(const ChordNode& n) {
+  std::vector<NodeRef> refs;
+  for (auto slots : {n.successor_list(), n.finger_table()}) {
+    for (const NodeRef& r : slots) {
+      if (r.node != nullptr && r.id != n.id()) refs.push_back(r);
+    }
+  }
+  std::sort(refs.begin(), refs.end(), [&](const NodeRef& a, const NodeRef& b) {
+    const Id da = a.id - n.id(), db = b.id - n.id();
+    return da != db ? da < db : a.node->host() < b.node->host();
+  });
+  refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
+  return refs;
+}
+
+TEST(Ring, FixFingersMatchTwoSearchReference) {
+  // Every finger and routing table after bootstrap, leave + rejoin at a
+  // split point, fail, a short move, and a restart of the crashed node
+  // (each followed by refresh_all_fingers) must equal the reference's, on
+  // uniform ids and on a band of nodes a few thousand ids apart (what
+  // migration leaves in front of a heavy node), with PNS off and on.
+  // After a short move, every even finger slot gets its pre-move ref
+  // back, as a fix-fingers round leaves a table half refreshed: the
+  // moved node then sits in neighbouring slots under two ids.
+  struct Pns {
+    bool on;
+    int samples;
+  };
+  std::size_t fingers = 0, tables = 0, mismatches = 0;
+  for (std::size_t size : {1, 2, 3, 17, 256, 1740}) {
+    for (bool band : {false, true}) {
+      for (Pns pns : {Pns{false, 16}, Pns{true, 1}, Pns{true, 16}}) {
+        DelaySpaceModel::Options topo_opts;
+        topo_opts.hosts = std::max<std::size_t>(size, 2);
+        topo_opts.seed = size + 3;
+        Simulator sim;
+        DelaySpaceModel topo(topo_opts);
+        Network net(sim, topo);
+        Ring::Options opts;
+        opts.pns = pns.on;
+        opts.pns_samples = pns.samples;
+        opts.seed = size * 31 + (band ? 1 : 0);
+        Ring ring(net, opts);
+        Rng rng(size * 7 + (band ? 5 : 0));
+        const std::size_t banded = band ? size / 4 : 0;
+        Id at = rng.next();
+        for (HostId h = 0; h < size; ++h) {
+          if (h < banded) {
+            ring.create_node_with_id(h, at);
+            at += 2000 + rng.below(4000);
+          } else {
+            ring.create_node(h);
+          }
+        }
+        ring.bootstrap();
+        std::string state = "bootstrap";
+        auto fail_once = [&](const std::string& what) {
+          if (mismatches++ == 0) {
+            ADD_FAILURE() << size << " nodes, band " << band << ", pns "
+                          << pns.on << "/" << pns.samples << ", " << state
+                          << ": " << what;
+          }
+        };
+        auto check_tables = [&]() {
+          for (ChordNode* n : ring.alive_nodes()) {
+            ++tables;
+            const std::span<const NodeRef> got = n->routing_table();
+            const std::vector<NodeRef> want = sorted_slots_table(*n);
+            if (!std::equal(got.begin(), got.end(), want.begin(),
+                            want.end())) {
+              fail_once("routing table of host " + std::to_string(n->host()));
+            }
+          }
+        };
+        auto check = [&]() {
+          std::vector<ChordNode*> sorted = ring.alive_nodes();
+          std::sort(sorted.begin(), sorted.end(),
+                    [](auto* a, auto* b) { return a->id() < b->id(); });
+          for (ChordNode* n : sorted) {
+            const auto want = two_search_fingers(sorted, *n, net, opts);
+            for (int i = 0; i < kIdBits; ++i) {
+              ++fingers;
+              if (n->finger_table()[static_cast<std::size_t>(i)] !=
+                  want[static_cast<std::size_t>(i)]) {
+                fail_once("finger " + std::to_string(i) + " of host " +
+                          std::to_string(n->host()));
+              }
+            }
+          }
+          check_tables();
+        };
+        // An id strictly between a and b that no node holds, or nothing.
+        auto between = [&](Id a, Id b) -> std::optional<Id> {
+          const Id mid = a + clockwise_distance(a, b) / 2;
+          if (!in_open(mid, a, b) || ring.oracle_successor(mid)->id() == mid) {
+            return std::nullopt;
+          }
+          return mid;
+        };
+        check();
+        ChordNode* crashed = nullptr;
+        const int steps = size >= 1000 ? 4 : 12;
+        for (int step = 0; step < steps && ring.alive_count() > 2; ++step) {
+          const std::vector<ChordNode*> alive = ring.alive_nodes();
+          ChordNode& v = *alive[rng.below(alive.size())];
+          if (step % 4 == 3) {
+            // The crashed node restarts just past its old id: successor
+            // lists that held it get it back in the same slot, under a
+            // new id.
+            const auto to = between(
+                crashed->id(), ring.oracle_successor(crashed->id())->id());
+            if (!to) continue;
+            ring.rejoin(*crashed, *to);
+            state = "restart after crash, step " + std::to_string(step);
+          } else if (step % 4 == 0) {
+            // Migration: v leaves and rejoins halfway into a heavy
+            // node's range (a band node's range when there is a band).
+            ChordNode& heavy =
+                *alive[rng.below(banded > 1 ? banded : alive.size())];
+            if (&heavy == &v) continue;
+            ring.leave(v);
+            const auto split = between(heavy.predecessor().id, heavy.id());
+            ring.rejoin(v, split ? *split : v.id());
+            state = "leave + rejoin, step " + std::to_string(step);
+          } else if (step % 4 == 1) {
+            ring.fail(v);
+            crashed = &v;
+            state = "fail, step " + std::to_string(step);
+          } else {
+            std::vector<std::array<NodeRef, kIdBits>> before;
+            for (const auto* n : alive) {
+              std::array<NodeRef, kIdBits> f;
+              std::copy(n->finger_table().begin(), n->finger_table().end(),
+                        f.begin());
+              before.push_back(f);
+            }
+            const auto to = between(v.id(), v.successor().id);
+            if (!to) continue;
+            ring.leave(v);
+            ring.rejoin(v, *to);
+            ring.refresh_all_fingers();
+            state = "short move, step " + std::to_string(step);
+            check();
+            for (std::size_t k = 0; k < alive.size(); ++k) {
+              if (!alive[k]->alive()) continue;
+              for (int i = 0; i < kIdBits; i += 2) {
+                alive[k]->set_finger(i, before[k][static_cast<std::size_t>(i)]);
+              }
+            }
+            state = "half-refreshed tables, step " + std::to_string(step);
+            check_tables();
+          }
+          ring.refresh_all_fingers();
+          check();
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "over " << fingers << " fingers and "
+                            << tables << " tables";
+  EXPECT_GT(fingers, 2000000u);
 }
 
 TEST(Ring, NodeIdsDeterministicPerSeed) {

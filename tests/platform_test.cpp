@@ -521,5 +521,106 @@ TEST(PlatformLoad, MedianKeyHandlesRingWrap) {
   }
 }
 
+// median_key as a full sort of every offset from the predecessor: the
+// largest offset in the first half, backed off below the top cluster.
+Id sorted_median_key(const IndexPlatform& platform, const ChordNode& n,
+                     const std::vector<std::uint32_t>& schemes) {
+  const Id pred = n.predecessor().id;
+  std::vector<Id> offsets;
+  for (std::uint32_t scheme : schemes) {
+    for (EntryView e : platform.store(n, scheme)) {
+      offsets.push_back(clockwise_distance(pred, e.key));
+    }
+  }
+  if (offsets.empty()) return pred;
+  std::sort(offsets.begin(), offsets.end());
+  const std::size_t half = offsets.size() / 2;
+  if (half == 0) return pred;
+  Id split_offset = offsets[half - 1];
+  if (split_offset == offsets.back() && offsets.front() == offsets.back()) {
+    return pred;
+  }
+  if (split_offset == offsets.back()) {
+    auto lower =
+        std::lower_bound(offsets.begin(), offsets.end(), split_offset);
+    split_offset = *(lower - 1);
+  }
+  return pred + split_offset;
+}
+
+TEST(PlatformLoad, MedianKeyMatchesSortedReference) {
+  // One node owns the whole ring, so every entry lands in its stores:
+  // empty, one entry, all entries on one key, a top cluster holding
+  // more than half the entries (the back-off path), and random loads
+  // over two schemes; then every node of a 24-node ring.
+  std::size_t checked = 0;
+  auto expect_match = [&](const Stack& s,
+                          const std::vector<std::uint32_t>& schemes,
+                          const char* what) {
+    for (ChordNode* n : s.ring->alive_nodes()) {
+      ++checked;
+      EXPECT_EQ(s.platform->median_key(*n),
+                sorted_median_key(*s.platform, *n, schemes))
+          << what << ", host " << n->host() << ", "
+          << s.platform->entries_on(*n) << " entries";
+    }
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Stack s(1, seed);
+    const std::vector<std::uint32_t> schemes{
+        s.platform->register_scheme("a", uniform_boundary(2, 0, 1), false),
+        s.platform->register_scheme("b", uniform_boundary(3, 0, 1), false)};
+    Rng rng(seed + 40);
+    auto random_point = [&](std::size_t dims) {
+      IndexPoint p(dims);
+      for (double& c : p) c = rng.uniform();
+      return p;
+    };
+    std::uint64_t object = 0;
+    expect_match(s, schemes, "empty");
+    s.platform->insert(schemes[0], object++, random_point(2));
+    expect_match(s, schemes, "one entry");
+    const IndexPoint same = random_point(2);
+    for (int i = 0; i < 6; ++i) s.platform->insert(schemes[0], object++, same);
+    expect_match(s, schemes, "all but one on one key");
+    s.platform->clear_scheme(schemes[0]);
+    for (int i = 0; i < 7; ++i) s.platform->insert(schemes[0], object++, same);
+    expect_match(s, schemes, "all on one key");
+    s.platform->clear_scheme(schemes[0]);
+    // A top cluster: more copies of the highest-offset entry than all
+    // the other entries together.
+    for (int i = 0; i < 20; ++i) {
+      s.platform->insert(schemes[1], object++, random_point(3));
+    }
+    ChordNode& only = *s.ring->alive_nodes()[0];
+    const Id pred = only.predecessor().id;
+    IndexPoint top;
+    Id top_offset = 0;
+    for (EntryView e : s.platform->store(only, schemes[1])) {
+      if (clockwise_distance(pred, e.key) >= top_offset) {
+        top_offset = clockwise_distance(pred, e.key);
+        top.assign(e.point.begin(), e.point.end());
+      }
+    }
+    for (int i = 0; i < 40; ++i) s.platform->insert(schemes[1], object++, top);
+    expect_match(s, schemes, "top cluster");
+    for (int i = 0; i < 200; ++i) {
+      const std::uint32_t scheme = schemes[rng.below(2)];
+      s.platform->insert(scheme, object++, random_point(scheme == 0 ? 2 : 3));
+      expect_match(s, schemes, "random");
+    }
+  }
+  Stack many(24, 5);
+  const std::vector<std::uint32_t> schemes{
+      many.platform->register_scheme("r", uniform_boundary(1, 0, 1), false)};
+  Rng rng(6);
+  for (int i = 0; i < 600; ++i) {
+    many.platform->insert(schemes[0], static_cast<std::uint64_t>(i),
+                          IndexPoint{rng.uniform()});
+  }
+  expect_match(many, schemes, "24 nodes");
+  EXPECT_GT(checked, 800u);
+}
+
 }  // namespace
 }  // namespace lmk
